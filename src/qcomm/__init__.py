@@ -21,7 +21,6 @@ from .errors import (
     DegreeZero,
     DimensionMismatch,
     EnumerationCapExceeded,
-    NotDistinct,
     NotDistinctEigenvalues,
     NotMember,
     NumericalFailure,

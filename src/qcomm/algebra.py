@@ -53,27 +53,46 @@ class QContext:
         return self.dec.T_inv
 
 
-def make_context(q, distinct_tol=DEFAULT_TOL):
-    """Diagonalize Q and verify its eigenvalues are numerically distinct."""
-    q = linalg.as_cmatrix(q)
-    dec = linalg.eig(q)
+def assemble_context(q, dec, distinct_tol, provenance="generic"):
+    """The one QContext constructor, for the eigensolver and the closed forms.
+
+    Rejects eigenvalues that linalg.check_distinct does not accept, and
+    warns when cond_T exceeds 1e8, whatever produced the decomposition.
+    """
     if not linalg.check_distinct(dec, distinct_tol):
         raise NotDistinctEigenvalues(
             f"minimum eigenvalue gap {dec.min_gap:.3e} below threshold"
         )
-    ctx = QContext(q, dec, q.shape[0], distinct_tol)
+    ctx = QContext(q, dec, q.shape[0], distinct_tol, provenance)
     if dec.cond_T > 1e8:
         ctx.warnings.append(f"ill-conditioned eigenbasis: cond_T ~ {dec.cond_T:.2e}")
     return ctx
 
 
+def make_context(q, distinct_tol=DEFAULT_TOL):
+    """Diagonalize Q and verify its eigenvalues are numerically distinct."""
+    q = linalg.as_cmatrix(q)
+    return assemble_context(q, linalg.eig(q), distinct_tol)
+
+
+def commutator(ctx, a):
+    """The one membership rule's residual and scale for A.
+
+    Returns (||AQ - QA||_F, (1+||A||_F) * (1+||Q||_F)); A is a member at
+    tolerance tol iff residual <= tol * scale.
+    """
+    a = linalg.as_cmatrix(a)
+    q = ctx.Q
+    if a.shape != q.shape:
+        raise DimensionMismatch(f"expected {q.shape}, got {a.shape}")
+    scale = (1.0 + linalg.frobenius(a)) * (1.0 + linalg.frobenius(q))
+    return linalg.frobenius(a @ q - q @ a), scale
+
+
 def is_member(ctx, a, tol=DEFAULT_TOL):
     """True iff ||AQ - QA||_F <= tol * (1+||A||_F) * (1+||Q||_F)."""
-    a = linalg.as_cmatrix(a)
-    if a.shape != ctx.Q.shape:
-        raise DimensionMismatch(f"expected {ctx.Q.shape}, got {a.shape}")
-    comm = linalg.frobenius(a @ ctx.Q - ctx.Q @ a)
-    return comm <= tol * (1.0 + linalg.frobenius(a)) * (1.0 + linalg.frobenius(ctx.Q))
+    resid, scale = commutator(ctx, a)
+    return resid <= tol * scale
 
 
 def vandermonde_solve(nodes, values):
@@ -100,33 +119,21 @@ def vandermonde_solve(nodes, values):
     return a
 
 
-def _similar_diag(ctx, a):
-    """T^-1 A T, its diagonal, and the off-diagonal Frobenius mass."""
-    m = ctx.T_inv @ a @ ctx.T
-    diag = np.diag(m).copy()
-    off = linalg.frobenius(m - np.diag(diag))
-    return diag, off
+def _member_diag(ctx, a, tol):
+    """Diagonal of T^-1 A T after is_member(ctx, a, tol) accepts A."""
+    if not is_member(ctx, a, tol):
+        raise NotMember("matrix does not commute with Q")
+    return np.einsum("ij,ji->i", ctx.T_inv @ a, ctx.T)
 
 
 def diag_coords(ctx, a, tol=DEFAULT_TOL):
     """Diagonal of T^-1 A T, in the context's eigenvalue order.
 
-    This is the forgiving projection: small off-diagonal residue is kept as
-    a diagnostic, gross commutation failure raises NotMember.
+    This is the forgiving projection used for equation coefficients: the
+    membership test runs at max(tol, 1e-6), so near-members are projected
+    onto the algebra and gross commutation failure raises NotMember.
     """
-    a = linalg.as_cmatrix(a)
-    if a.shape != ctx.Q.shape:
-        raise DimensionMismatch(f"expected {ctx.Q.shape}, got {a.shape}")
-    if not is_member(ctx, a, max(tol, 1e-6)):
-        raise NotMember("matrix does not commute with Q")
-    diag, _ = _similar_diag(ctx, a)
-    return diag
-
-
-def offdiag_mass(ctx, a):
-    """Off-diagonal Frobenius mass of T^-1 A T (membership diagnostic)."""
-    _, off = _similar_diag(ctx, linalg.as_cmatrix(a))
-    return off
+    return _member_diag(ctx, a, max(tol, 1e-6))
 
 
 def repr_poly(ctx, a, tol=DEFAULT_TOL):
@@ -134,19 +141,11 @@ def repr_poly(ctx, a, tol=DEFAULT_TOL):
     polynomial f with A = f(Q).
 
     Coefficients come from the Vandermonde system in the eigenvalues with
-    the diagonal of T^-1 A T as right-hand side. Rejects non-members (by
-    off-diagonal mass) with NotMember; warns when the node set is badly
+    the diagonal of T^-1 A T as right-hand side. Raises NotMember exactly
+    when is_member(ctx, a, tol) is false; warns when the node set is badly
     conditioned.
     """
-    a = linalg.as_cmatrix(a)
-    if a.shape != ctx.Q.shape:
-        raise DimensionMismatch(f"expected {ctx.Q.shape}, got {a.shape}")
-    diag, off = _similar_diag(ctx, a)
-    bound = tol * (1.0 + linalg.frobenius(a)) * ctx.dec.cond_T
-    if off > bound:
-        raise NotMember(
-            f"off-diagonal mass {off:.3e} of T^-1 A T exceeds tolerance {bound:.3e}"
-        )
+    diag = _member_diag(ctx, a, tol)
     vcond = np.linalg.cond(np.vander(ctx.eigenvalues, increasing=True))
     if vcond > 1e10:
         warnings.warn(

@@ -6,7 +6,6 @@ Subcommands: solve, check, repr, diag, example. Exit codes: 0 success,
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -130,16 +129,13 @@ def cmd_example(args, out):
 def cmd_check(args, out):
     ctx, coeffs, opts = problems.load_problem(args.problem)
     x = problems.load_matrix_file(args.candidate)
-    eq = solver.MatrixPolyEquation(ctx, coeffs)
-    resid = solver.verify_solution(eq, x)
-    comm = solver.commutation_residual(eq, x)
+    comm, comm_scale = algebra.commutator(ctx, x)
     tol = float(opts.get("residual_tol", solver.DEFAULT_RESIDUAL_TOL))
-    mats = solver._coeff_matrices(eq)
-    coeff_norm = max(linalg.frobenius(a) for a in mats)
-    scale = (1.0 + linalg.frobenius(x)) ** eq.n * (1.0 + coeff_norm)
-    comm_scale = (1.0 + linalg.frobenius(x)) * (1.0 + linalg.frobenius(ctx.Q))
-    ok = resid <= tol * scale and comm <= tol * comm_scale
-    out.write(f"equation residual: {resid:.6e} (bound {tol * scale:.6e})\n")
+    cert = solver.Certificate(solver.MatrixPolyEquation(ctx, coeffs))
+    resid = cert.residual(x)
+    bound = cert.bound(x, tol)
+    ok = resid <= bound and comm <= tol * comm_scale
+    out.write(f"equation residual: {resid:.6e} (bound {bound:.6e})\n")
     out.write(f"commutation residual: {comm:.6e} (bound {tol * comm_scale:.6e})\n")
     out.write("PASS\n" if ok else "FAIL\n")
     return EXIT_OK if ok else EXIT_INVALID
@@ -154,7 +150,7 @@ def cmd_repr(args, out):
     try:
         p = algebra.repr_poly(ctx, a)
     except NotMember:
-        comm = linalg.frobenius(a @ ctx.Q - ctx.Q @ a)
+        comm, _ = algebra.commutator(ctx, a)
         sys.stderr.write(f"not a member: commutation residual {comm:.6e}\n")
         return EXIT_INVALID
     recon = algebra.from_repr_poly(ctx, p)
@@ -238,22 +234,9 @@ def build_parser():
     return p
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("QCOMM_THREADS")
-    if not cap:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=max(1, int(cap)))
-    except (ImportError, ValueError):
-        pass
-
-
 def main(argv=None, out=None):
     out = sys.stdout if out is None else out
     args = build_parser().parse_args(argv)
-    _apply_thread_cap()
     try:
         return args.func(args, out)
     except _VALIDATION_ERRORS as exc:

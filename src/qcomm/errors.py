@@ -21,10 +21,6 @@ class NotDistinctEigenvalues(QcommError):
     """The matrix does not have numerically distinct eigenvalues."""
 
 
-# Companion-matrix constructors raise on coincident nodes; same condition.
-NotDistinct = NotDistinctEigenvalues
-
-
 class NotMember(QcommError):
     """The matrix does not commute with Q to within tolerance."""
 

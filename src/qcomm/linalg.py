@@ -25,14 +25,6 @@ def as_cmatrix(a):
     return a
 
 
-def matmul(a, b):
-    a = as_cmatrix(a)
-    b = as_cmatrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def frobenius(a):
     return float(np.linalg.norm(np.asarray(a, dtype=complex), "fro"))
 
@@ -124,6 +116,14 @@ def eig(q):
 
 
 def check_distinct(dec, tol):
-    """True iff the eigenvalue gaps clear tol relative to eigenvalue scale."""
-    lam_scale = max(1.0, float(np.max(np.abs(dec.eigenvalues))))
-    return dec.min_gap > tol * lam_scale
+    """True iff the eigenvalue gaps clear tol relative to eigenvalue scale.
+
+    dec is an EigenDecomposition, or a bare eigenvalue array when no basis
+    has been built yet.
+    """
+    if isinstance(dec, EigenDecomposition):
+        eigs, gap = dec.eigenvalues, dec.min_gap
+    else:
+        eigs = np.asarray(dec, dtype=complex)
+        gap = _min_gap(eigs)
+    return gap > tol * max(1.0, float(np.max(np.abs(eigs))))

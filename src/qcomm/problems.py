@@ -75,7 +75,7 @@ def load_json(path):
     return doc
 
 
-def context_from_q_spec(q_spec, distinct_tol=1e-8, where="q"):
+def context_from_q_spec(q_spec, distinct_tol=algebra.DEFAULT_TOL, where="q"):
     """Build a QContext from a parsed Q descriptor, choosing the structured
     closed form whenever the descriptor names one."""
     if not isinstance(q_spec, dict):
@@ -122,7 +122,7 @@ def parse_problem(doc, path="<problem>"):
     opts = doc.get("options", {})
     if not isinstance(opts, dict):
         raise ParseError(f"{path}: 'options' must be an object")
-    distinct_tol = float(opts.get("distinct_tol", 1e-8))
+    distinct_tol = float(opts.get("distinct_tol", algebra.DEFAULT_TOL))
     ctx = context_from_q_spec(doc["q"], distinct_tol, f"{path}:q")
     n = doc.get("degree")
     coeff_entries = doc.get("coefficients")

@@ -38,13 +38,20 @@ class MatrixPolyEquation:
         return len(self.coeffs)
 
 
-def _coeff_diag_values(eq):
-    """n x d array: row k holds the diag-coordinates of coefficient k+1."""
+def normalize_coeffs(eq):
+    """The one coefficient-kind dispatch: (coords, given).
+
+    coords is the (n, d) array whose row k holds the diagonal coordinates of
+    coefficient k+1. given[k] is that coefficient as the caller's d x d
+    matrix, or None when it was a Polynomial or a coordinate vector. Each
+    matrix coefficient is projected with algebra.diag_coords once per call.
+    """
     d = eq.ctx.d
-    out = np.empty((eq.n, d), dtype=complex)
+    coords = np.empty((eq.n, d), dtype=complex)
+    given = [None] * eq.n
     for k, c in enumerate(eq.coeffs):
         if isinstance(c, poly.Polynomial):
-            out[k] = c(eq.ctx.eigenvalues)
+            coords[k] = c(eq.ctx.eigenvalues)
             continue
         arr = np.asarray(c, dtype=complex)
         if arr.ndim == 1:
@@ -52,57 +59,63 @@ def _coeff_diag_values(eq):
                 raise DimensionMismatch(
                     f"coefficient {k + 1}: expected {d} diag coordinates"
                 )
-            out[k] = arr
+            coords[k] = arr
         else:
-            out[k] = algebra.diag_coords(eq.ctx, arr)
-    return out
+            given[k] = arr
+            coords[k] = algebra.diag_coords(eq.ctx, arr)
+    return coords, given
 
 
-def _coeff_matrices(eq):
-    vals = None
-    mats = []
-    for k, c in enumerate(eq.coeffs):
-        if not isinstance(c, poly.Polynomial):
-            arr = np.asarray(c, dtype=complex)
-            if arr.ndim == 2:
-                mats.append(linalg.as_cmatrix(arr))
-                continue
-        if vals is None:
-            vals = _coeff_diag_values(eq)
-        mats.append(algebra.from_diag_coords(eq.ctx, vals[k]))
-    return mats
+def build_scalar_polys(eq, coords=None):
+    """The d monic degree-n scalar polynomials, one per eigenvalue.
+
+    coords is the array from normalize_coeffs(eq), for a caller that has
+    already normalized the coefficients.
+    """
+    if coords is None:
+        coords, _ = normalize_coeffs(eq)
+    n, d = coords.shape
+    asc = np.ones((d, n + 1), dtype=complex)
+    asc[:, :n] = coords[::-1].T
+    return [poly.Polynomial(row) for row in asc]
 
 
-def build_scalar_polys(eq):
-    """The d monic degree-n scalar polynomials, one per eigenvalue."""
-    vals = _coeff_diag_values(eq)
-    n, d = vals.shape
-    gs = []
-    for i in range(d):
-        asc = np.empty(n + 1, dtype=complex)
-        asc[n] = 1.0
-        for k in range(n):
-            asc[n - 1 - k] = vals[k, i]
-        gs.append(poly.Polynomial(asc))
-    return gs
+class Certificate:
+    """The one solution certificate, shared by solve, verify_solution and
+    the CLI check.
+
+    It checks a candidate X against the coefficient matrices: matrix
+    coefficients exactly as the caller gave them, the others rebuilt as
+    T diag(coords) T^-1. X passes when residual(X) <= bound(X, residual_tol).
+    """
+
+    def __init__(self, eq, normalized=None):
+        coords, given = normalize_coeffs(eq) if normalized is None else normalized
+        self.mats = [
+            a if a is not None else algebra.from_diag_coords(eq.ctx, coords[k])
+            for k, a in enumerate(given)
+        ]
+        self.coeff_norm = max(linalg.frobenius(a) for a in self.mats)
+
+    def residual(self, x):
+        """||X^n + A_1 X^(n-1) + ... + A_n||_F by Horner evaluation."""
+        acc = x + self.mats[0]
+        for a in self.mats[1:]:
+            acc = acc @ x + a
+        return linalg.frobenius(acc)
+
+    def bound(self, x, residual_tol):
+        """residual_tol * (1+||X||_F)^n * (1+max_k ||A_k||_F)."""
+        n = len(self.mats)
+        return residual_tol * (1.0 + linalg.frobenius(x)) ** n * (1.0 + self.coeff_norm)
 
 
 def verify_solution(eq, x):
-    """Equation residual ||X^n + sum A_k X^(n-k)||_F by Horner evaluation."""
+    """Equation residual ||X^n + sum A_k X^(n-k)||_F of a candidate X."""
     x = linalg.as_cmatrix(x)
     if x.shape != eq.ctx.Q.shape:
         raise DimensionMismatch(f"expected {eq.ctx.Q.shape}, got {x.shape}")
-    mats = _coeff_matrices(eq)
-    acc = x + mats[0]
-    for a in mats[1:]:
-        acc = acc @ x + a
-    return linalg.frobenius(acc)
-
-
-def commutation_residual(eq, x):
-    """||XQ - QX||_F, the membership half of the solution certificate."""
-    q = eq.ctx.Q
-    return linalg.frobenius(x @ q - q @ x)
+    return Certificate(eq).residual(x)
 
 
 @dataclass
@@ -159,11 +172,11 @@ def solve(
 
     Root tuples are enumerated lexicographically, with the distinct roots of
     each scalar polynomial sorted by (real, imag). Every candidate is built
-    as T diag(u) T^-1 and certified by its equation residual; residuals over
-    residual_tol * (1+||X||_F)^n * (1+max ||A_k||_F) are reported in
-    warnings, never dropped.
+    as T diag(u) T^-1, a member by construction, and checked by Certificate;
+    residuals over the bound are reported in warnings, never dropped.
     """
-    gs = build_scalar_polys(eq)
+    normalized = normalize_coeffs(eq)
+    gs = build_scalar_polys(eq, normalized[0])
     all_clusters = []
     warnings_out = list(eq.ctx.warnings)
     for i, g in enumerate(gs):
@@ -181,9 +194,7 @@ def solve(
             f"{total} solutions exceed cap {enumeration_cap}; pass truncate=True"
         )
 
-    mats = _coeff_matrices(eq)
-    coeff_norm = max(linalg.frobenius(a) for a in mats) if mats else 0.0
-    n = eq.n
+    cert = Certificate(eq, normalized)
     solutions = []
     truncated = False
     for indices in itertools.product(*(range(c) for c in counts)):
@@ -194,15 +205,11 @@ def solve(
             [all_clusters[i][j].representative for i, j in enumerate(indices)]
         )
         x = algebra.from_diag_coords(eq.ctx, u)
-        acc = x + mats[0]
-        for a in mats[1:]:
-            acc = acc @ x + a
-        resid = linalg.frobenius(acc)
-        scale = (1.0 + linalg.frobenius(x)) ** n * (1.0 + coeff_norm)
-        if resid > residual_tol * scale:
+        resid = cert.residual(x)
+        bound = cert.bound(x, residual_tol)
+        if resid > bound:
             warnings_out.append(
-                f"solution {indices}: residual {resid:.3e} exceeds "
-                f"{residual_tol * scale:.3e}"
+                f"solution {indices}: residual {resid:.3e} exceeds {bound:.3e}"
             )
         solutions.append(Solution(indices, u, x, resid))
     if truncated:

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import QContext
+from .algebra import DEFAULT_TOL, assemble_context
 from .errors import (
     NotDistinctEigenvalues,
     NumericalFailure,
     ZeroWeight,
 )
-from .poly import Polynomial, from_roots
+from .poly import from_roots
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,6 @@ class WeightedCirculantSpec:
         return cls(weights, k, lam)
 
 
-def cyclic_shift(d):
-    """The basic d x d cyclic shift (ones on the superdiagonal and corner)."""
-    return weighted_circulant_matrix(WeightedCirculantSpec.from_weights([1.0] * d))
-
-
 def weighted_circulant_matrix(spec):
     """Matrix with spec.weights[:-1] on the superdiagonal and weights[-1]
     in the bottom-left corner."""
@@ -73,46 +68,39 @@ def dft_matrix(d):
 
 
 def _structured_context(q, eigs, T, T_inv, provenance, distinct_tol, resid_bound):
+    """Check the closed-form diagonalization, then assemble the context."""
     dec = linalg.make_decomposition(eigs, T, T_inv)
     resid = linalg.frobenius(T_inv @ q @ T - np.diag(dec.eigenvalues))
     if resid > resid_bound:
         raise NumericalFailure(
             f"closed-form diagonalization residual {resid:.3e} exceeds {resid_bound:.3e}"
         )
-    if not linalg.check_distinct(dec, distinct_tol):
-        raise NotDistinctEigenvalues(
-            f"minimum eigenvalue gap {dec.min_gap:.3e} below threshold"
-        )
-    return QContext(q, dec, q.shape[0], distinct_tol, provenance=provenance)
+    return assemble_context(q, dec, distinct_tol, provenance)
 
 
-def weighted_circulant_context(spec, distinct_tol=1e-8):
+def weighted_circulant_context(spec, distinct_tol=DEFAULT_TOL):
     """Closed-form context for a weighted circulant.
 
     With lam the chosen d-th root of the weight product, the scaling matrix
     L = (k/k_d) diag(1, lam/k_1, lam^2/(k_1 k_2), ...) conjugates Q to
     lam * (cyclic shift), and T = L F^-1 then gives
     T^-1 Q T = diag(lam w^d, lam w^{d-1}, ..., lam w), w = e^{2 pi i / d};
-    the i-th eigenvalue is lam * w^(d-i+1).
+    the i-th eigenvalue is lam * w^(d-i+1). As F is unitary, cond_2(T) is
+    max|L| / min|L|.
     """
-    w = spec.weights
+    w = np.asarray(spec.weights, dtype=complex)
     d = len(w)
     lam = spec.lam
-    diag = np.empty(d, dtype=complex)
-    diag[0] = 1.0
-    for j in range(1, d):
-        diag[j] = lam ** j / np.prod(np.asarray(w[:j], dtype=complex))
-    diag *= spec.k / w[-1]
+    diag = np.concatenate(([1.0], np.cumprod(lam / w[:-1]))) * (spec.k / w[-1])
     F = dft_matrix(d)
-    F_inv = F.conj().T
-    T = diag[:, None] * F_inv
+    T = diag[:, None] * F.conj().T
     T_inv = F / diag[None, :]
     omega = np.exp(2j * np.pi / d)
     eigs = lam * omega ** (np.arange(d, 0, -1) % d)
-    q = weighted_circulant_matrix(spec)
+    cond = float(np.max(np.abs(diag)) / np.min(np.abs(diag)))
     return _structured_context(
-        q, eigs, T, T_inv, "weighted-circulant", distinct_tol,
-        1e-10 * (1.0 + abs(lam)) * max(1.0, np.linalg.cond(T)),
+        weighted_circulant_matrix(spec), eigs, T, T_inv, "weighted-circulant",
+        distinct_tol, 1e-10 * (1.0 + abs(lam)) * max(1.0, cond),
     )
 
 
@@ -129,24 +117,21 @@ def circulant_scalar_coeffs(a, i):
     return complex(np.sum(a * omega ** (-(i - 1) * j)))
 
 
-def circulant_context(a, distinct_tol=1e-8):
+def circulant_context(a, distinct_tol=DEFAULT_TOL):
     """Closed-form context for the circulant with first-row coefficients a.
 
-    Every circulant is diagonalized by T = F^-1; the i-th eigenvalue is the
-    coefficient polynomial evaluated at omega^(d-i+1), matching the
+    Q[r, c] = a[(c - r) mod d]. Every circulant is diagonalized by
+    T = F^-1; the i-th eigenvalue is the coefficient polynomial evaluated at
+    omega^(d-i+1), which is entry i-1 of np.fft.fft(a), matching the
     weighted-circulant eigenvalue ordering with unit weights.
     """
     a = np.asarray(a, dtype=complex)
     d = len(a)
-    c = cyclic_shift(d)
-    q = np.zeros((d, d), dtype=complex)
-    power = np.eye(d, dtype=complex)
-    for j in range(d):
-        q += a[j] * power
-        power = power @ c
+    idx = np.arange(d)
+    q = a[(idx[None, :] - idx[:, None]) % d]
     F = dft_matrix(d)
     T = F.conj().T
-    eigs = np.array([circulant_scalar_coeffs(a, i) for i in range(1, d + 1)])
+    eigs = np.fft.fft(a)
     scale = 1.0 + float(np.max(np.abs(eigs)))
     return _structured_context(q, eigs, T, F, "circulant", distinct_tol, 1e-10 * scale * d)
 
@@ -163,7 +148,7 @@ def companion_matrix(coeffs):
     return pi
 
 
-def companion_context(lambdas, distinct_tol=1e-8):
+def companion_context(lambdas, distinct_tol=DEFAULT_TOL):
     """Closed-form context for the companion matrix of prod (x - lambda_i).
 
     T is the Vandermonde matrix with T[r, c] = lambdas[c]**r, which conjugates
@@ -171,8 +156,8 @@ def companion_context(lambdas, distinct_tol=1e-8):
     """
     lambdas = np.asarray(lambdas, dtype=complex)
     d = len(lambdas)
-    gap = linalg._min_gap(lambdas)
-    if gap <= distinct_tol * max(1.0, float(np.max(np.abs(lambdas)))):
+    # Checked before inverting T: coincident nodes make T singular.
+    if not linalg.check_distinct(lambdas, distinct_tol):
         raise NotDistinctEigenvalues("companion eigenvalues are not distinct")
     f = from_roots(lambdas)
     pi = companion_matrix(f.coeffs)
@@ -183,21 +168,13 @@ def companion_context(lambdas, distinct_tol=1e-8):
     return _structured_context(pi, lambdas, T, T_inv, "companion", distinct_tol, bound)
 
 
-def characteristic_poly(lambdas):
-    """Monic polynomial with the given roots (convenience re-export)."""
-    return from_roots(lambdas)
-
-
 __all__ = [
     "WeightedCirculantSpec",
     "weighted_circulant_matrix",
     "weighted_circulant_context",
     "dft_matrix",
-    "cyclic_shift",
     "circulant_scalar_coeffs",
     "circulant_context",
     "companion_matrix",
     "companion_context",
-    "characteristic_poly",
-    "Polynomial",
 ]

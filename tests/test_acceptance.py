@@ -140,7 +140,7 @@ def test_criterion_4_soundness(soundness_runs):
     for eq, ss in runs:
         q = eq.ctx.Q
         qn = 1.0 + np.linalg.norm(q, "fro")
-        mats = solver._coeff_matrices(eq)
+        mats = solver.Certificate(eq).mats
         coeff_norm = max(np.linalg.norm(a, "fro") for a in mats)
         for s in ss.solutions:
             rel_scale = (1.0 + np.linalg.norm(s.X, "fro")) ** eq.n * (1.0 + coeff_norm)

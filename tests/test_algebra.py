@@ -6,8 +6,8 @@ from qcomm.errors import NotDistinctEigenvalues, NotMember
 from qcomm.poly import Polynomial
 from qcomm.structured import (
     WeightedCirculantSpec,
-    cyclic_shift,
     weighted_circulant_context,
+    weighted_circulant_matrix,
 )
 
 from conftest import OMEGA3, match_values, random_context
@@ -20,7 +20,8 @@ def paper_ctx():
 
 
 def test_make_context_cyclic_shift():
-    ctx = algebra.make_context(cyclic_shift(4))
+    shift = weighted_circulant_matrix(WeightedCirculantSpec.from_weights([1] * 4))
+    ctx = algebra.make_context(shift)
     expected = np.exp(2j * np.pi * np.arange(4) / 4)
     assert match_values(ctx.eigenvalues, expected) < 1e-10
 
@@ -78,12 +79,19 @@ def test_repr_poly_round_trip(rng):
         assert np.max(np.abs(got - coeffs)) < 1e-8
 
 
-def test_repr_poly_rejects_non_member():
+def test_repr_poly_rejects_non_member(rng):
     ctx = algebra.make_context(Q31)
     bad = np.zeros((3, 3), dtype=complex)
     bad[0, 1] = 1.0
-    with pytest.raises(NotMember):
-        algebra.repr_poly(ctx, bad)
+    # A near-member: repr_poly and is_member must reject it at the same tol,
+    # while the projection's 1e-6 floor still accepts it.
+    noise = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    near = Q31 @ Q31 + 1e-7 * noise
+    for a in (bad, near):
+        assert not algebra.is_member(ctx, a)
+        with pytest.raises(NotMember):
+            algebra.repr_poly(ctx, a)
+    assert np.max(np.abs(algebra.diag_coords(ctx, near) - ctx.eigenvalues ** 2)) < 1e-5
 
 
 def test_from_repr_poly_constants():

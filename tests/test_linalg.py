@@ -2,39 +2,10 @@ import numpy as np
 import pytest
 
 from qcomm import linalg
-from qcomm.errors import DimensionMismatch, SingularMatrix
+from qcomm.errors import SingularMatrix
 from qcomm.structured import companion_matrix, dft_matrix
 
 from conftest import OMEGA3, match_values, random_basis, random_distinct
-
-
-def test_matmul_identity(rng):
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert np.allclose(linalg.matmul(np.eye(4), a), a)
-
-
-def test_matmul_diagonal_product():
-    u = np.diag([1.0, 2.0, 3.0]).astype(complex)
-    lam = np.diag([4.0, 5.0, 6.0]).astype(complex)
-    assert np.allclose(linalg.matmul(u, lam), np.diag([4.0, 10.0, 18.0]))
-
-
-def test_matmul_against_triple_loop(rng):
-    for _ in range(10):
-        d = rng.integers(1, 6)
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        ref = np.zeros((d, d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    ref[i, j] += a[i, k] * b[k, j]
-        assert np.allclose(linalg.matmul(a, b), ref, atol=1e-12)
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        linalg.matmul(np.ones((2, 3)), np.ones((2, 2)))
 
 
 def test_solve_identity(rng):

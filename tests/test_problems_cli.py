@@ -8,6 +8,8 @@ import qcomm as qc
 from qcomm import cli, problems
 from qcomm.errors import ParseError
 
+from conftest import random_context
+
 
 def run_cli(args):
     out = io.StringIO()
@@ -142,6 +144,42 @@ def test_cli_check_pass_and_fail(tmp_path):
         {"schema": "qcomm/1", "matrix": [[[0, 0]] * 3 for _ in range(3)]},
     )
     rc, out = run_cli(["check", prob, zero])
+    assert rc == 2
+    assert "FAIL" in out
+
+
+def test_near_member_coefficients_certified_as_given(tmp_path):
+    # Matrix coefficients carry non-commuting noise of relative size 1e-8:
+    # diag_coords projects them, but every solution must be certified
+    # against the matrices as given, and so flagged.
+    rng = np.random.default_rng(0)
+    ctx = random_context(rng, 4)
+    roots = rng.uniform(-1, 1, (4, 2)) + 1j * rng.uniform(-1, 1, (4, 2))
+    mats = []
+    for c in (-(roots[:, 0] + roots[:, 1]), roots[:, 0] * roots[:, 1]):
+        a = qc.from_diag_coords(ctx, c)
+        noise = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        mats.append(a + 1e-8 * np.linalg.norm(a) * noise)
+    prob = write_json(
+        tmp_path / "p.json",
+        {
+            "schema": "qcomm/1",
+            "q": {"matrix": problems.emit_matrix(ctx.Q)},
+            "degree": 2,
+            "coefficients": [{"matrix": problems.emit_matrix(a)} for a in mats],
+        },
+    )
+    rc, out = run_cli(["solve", prob, "--json"])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["total"] == 16
+    flagged = [w for w in doc["warnings"] if w.startswith("solution ")]
+    assert len(flagged) == 16
+    cand = write_json(
+        tmp_path / "x.json",
+        {"schema": "qcomm/1", "matrix": doc["solutions"][0]["matrix"]},
+    )
+    rc, out = run_cli(["check", prob, cand])
     assert rc == 2
     assert "FAIL" in out
 

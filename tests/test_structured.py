@@ -10,7 +10,6 @@ from qcomm.structured import (
     circulant_scalar_coeffs,
     companion_context,
     companion_matrix,
-    cyclic_shift,
     dft_matrix,
     weighted_circulant_context,
     weighted_circulant_matrix,
@@ -98,7 +97,7 @@ def test_lambda_conjugation_identity(rng):
         lam_mat = ctx.T @ f
         q = weighted_circulant_matrix(s)
         resid = np.linalg.norm(
-            np.linalg.solve(lam_mat, q @ lam_mat) - s.lam * cyclic_shift(d), "fro"
+            np.linalg.solve(lam_mat, q @ lam_mat) - s.lam * weighted_circulant_matrix(spec(*[1] * d)), "fro"
         )
         assert resid <= 1e-10 * (1 + abs(s.lam)) * d
 
@@ -161,6 +160,13 @@ def test_companion_context_tiny():
 def test_companion_matrix_coeffs():
     pi = companion_matrix([-6, 11, -6, 1])
     assert np.allclose(pi[-1], [6, -11, 6])
+
+
+def test_structured_contexts_warn_when_ill_conditioned():
+    assert companion_context([1, 2, 3]).warnings == []
+    ctx = companion_context(range(1, 9))
+    assert ctx.dec.cond_T > 1e8
+    assert any(w.startswith("ill-conditioned eigenbasis") for w in ctx.warnings)
 
 
 def test_companion_context_rejects_repeated():
