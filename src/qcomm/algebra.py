@@ -156,11 +156,15 @@ def repr_poly(ctx, a, tol=DEFAULT_TOL):
 
 
 def from_diag_coords(ctx, u):
-    """T diag(u) T^-1: the member with the given diagonal coordinates."""
+    """T diag(u) T^-1: the member with the given diagonal coordinates.
+
+    u has shape (d,) for one member or (..., d) for a stack of them; the
+    result has shape (..., d, d).
+    """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (ctx.d,):
+    if u.ndim == 0 or u.shape[-1] != ctx.d:
         raise DimensionMismatch(f"expected {ctx.d} coordinates, got shape {u.shape}")
-    return (ctx.T * u) @ ctx.T_inv
+    return (ctx.T * u[..., None, :]) @ ctx.T_inv
 
 
 def from_repr_poly(ctx, p):

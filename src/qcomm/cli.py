@@ -132,8 +132,7 @@ def cmd_check(args, out):
     comm, comm_scale = algebra.commutator(ctx, x)
     tol = float(opts.get("residual_tol", solver.DEFAULT_RESIDUAL_TOL))
     cert = solver.Certificate(solver.MatrixPolyEquation(ctx, coeffs))
-    resid = cert.residual(x)
-    bound = cert.bound(x, tol)
+    (resid,), (bound,) = cert.check(x[None], tol)
     ok = resid <= bound and comm <= tol * comm_scale
     out.write(f"equation residual: {resid:.6e} (bound {bound:.6e})\n")
     out.write(f"commutation residual: {comm:.6e} (bound {tol * comm_scale:.6e})\n")

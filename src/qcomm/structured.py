@@ -59,12 +59,15 @@ def weighted_circulant_matrix(spec):
 
 
 def dft_matrix(d):
-    """Unitary DFT matrix: F[r, c] = omega**(r c) / sqrt(d), omega = e^{2 pi i / d}."""
+    """Unitary DFT matrix: F[r, c] = omega**(r c) / sqrt(d), omega = e^{2 pi i / d}.
+
+    Each entry is exp of its angle reduced mod 2 pi (exponent r c mod d),
+    so rounding does not grow with r c.
+    """
     if d < 1:
         raise ValueError("d must be positive")
     idx = np.arange(d)
-    omega = np.exp(2j * np.pi / d)
-    return omega ** np.outer(idx, idx) / np.sqrt(d)
+    return np.exp(2j * np.pi * (np.outer(idx, idx) % d) / d) / np.sqrt(d)
 
 
 def _structured_context(q, eigs, T, T_inv, provenance, distinct_tol, resid_bound):
@@ -108,13 +111,13 @@ def circulant_scalar_coeffs(a, i):
     """Diag-coordinate i (1-based) of a circulant with first-row coefficients a.
 
     Direct inverse-DFT-type sum: sum_j a[j-1] * omega^{-(i-1)(j-1)}; equals
-    the polynomial with coefficients a evaluated at omega^(d-i+1).
+    the polynomial with coefficients a evaluated at omega^(d-i+1). The
+    exponents are reduced mod d, as in dft_matrix.
     """
     a = np.asarray(a, dtype=complex)
     d = len(a)
-    omega = np.exp(2j * np.pi / d)
     j = np.arange(d)
-    return complex(np.sum(a * omega ** (-(i - 1) * j)))
+    return complex(np.sum(a * np.exp(-2j * np.pi * ((i - 1) * j % d) / d)))
 
 
 def circulant_context(a, distinct_tol=DEFAULT_TOL):

@@ -31,6 +31,15 @@ def random_context(rng, d, gap=0.1):
     return qc.make_context(q)
 
 
+def horner_residual(mats, x):
+    """||X^n + A_1 X^(n-1) + ... + A_n||_F for one candidate, one matrix at
+    a time: a reference that shares no code with solver.Certificate."""
+    acc = x + mats[0]
+    for a in mats[1:]:
+        acc = acc @ x + a
+    return float(np.linalg.norm(acc))
+
+
 def match_matrices(xs, ys):
     """Max Frobenius distance under the optimal pairing of two equal-size sets."""
     assert len(xs) == len(ys)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qcomm import algebra
-from qcomm.errors import NotDistinctEigenvalues, NotMember
+from qcomm.errors import DimensionMismatch, NotDistinctEigenvalues, NotMember
 from qcomm.poly import Polynomial
 from qcomm.structured import (
     WeightedCirculantSpec,
@@ -124,6 +124,19 @@ def test_from_diag_coords_basics():
     assert np.allclose(
         algebra.from_diag_coords(ctx, ctx.eigenvalues), Q31, atol=1e-10
     )
+
+
+def test_from_diag_coords_stack(rng):
+    ctx = random_context(rng, 4)
+    us = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+    xs = algebra.from_diag_coords(ctx, us)
+    assert xs.shape == (2, 3, 4, 4)
+    for k in np.ndindex(2, 3):
+        x = algebra.from_diag_coords(ctx, us[k])
+        assert np.max(np.abs(xs[k] - x)) <= 1e-14 * np.max(np.abs(x))
+    for bad in (1.0, np.ones(3), np.ones((5, 3))):
+        with pytest.raises(DimensionMismatch):
+            algebra.from_diag_coords(ctx, bad)
 
 
 def test_from_diag_coords_companion_example():

@@ -1,14 +1,15 @@
 import io
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 import qcomm as qc
-from qcomm import cli, problems
+from qcomm import algebra, cli, problems, solver
 from qcomm.errors import ParseError
 
-from conftest import random_context
+from conftest import horner_residual, random_context
 
 
 def run_cli(args):
@@ -125,6 +126,27 @@ def test_cli_examples():
         doc = json.loads(out)
         assert doc["total"] == 4
         assert doc["counts"] == [2, 1, 2]
+
+
+@pytest.mark.parametrize("name", ["paper-3.1", "paper-3.2"])
+def test_cli_solve_text_matches_per_solution_reference(tmp_path, name):
+    # the solution block of `qcomm solve` is byte for byte what one
+    # T diag(u) T^-1 and one Horner residual per solution print, in
+    # itertools.product order
+    doc = problems.BUILTIN_PROBLEMS[name]
+    rc, text = run_cli(["solve", write_json(tmp_path / "p.json", doc)])
+    assert rc == 0
+    ctx, coeffs, _ = problems.parse_problem(doc, name)
+    eq = solver.MatrixPolyEquation(ctx, coeffs)
+    ss = solver.solve(eq)
+    cert = solver.Certificate(eq)
+    ref = io.StringIO()
+    for indices in itertools.product(*(range(c) for c in ss.counts)):
+        u = [ss.distinct_roots[i][j].representative for i, j in enumerate(indices)]
+        x = algebra.from_diag_coords(ctx, u)
+        ref.write(f"solution {indices}  residual {horner_residual(cert.mats, x):.3e}\n")
+        cli._print_matrix(x, ref)
+    assert text[text.index("solution ("):] == ref.getvalue()
 
 
 def test_cli_check_pass_and_fail(tmp_path):

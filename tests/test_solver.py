@@ -8,7 +8,7 @@ from qcomm import algebra, solver
 from qcomm.errors import EnumerationCapExceeded, NotMember
 from qcomm.poly import Polynomial
 
-from conftest import match_matrices, random_context
+from conftest import horner_residual, match_matrices, random_context
 
 PAPER_DIAG = [np.array([-5, 2, -3], dtype=complex), np.array([4, 1, 2], dtype=complex)]
 
@@ -217,6 +217,64 @@ def test_enumeration_cap(rng):
     assert len(ss.solutions) == 10
     assert ss.total == 81
     assert any("truncated" in w for w in ss.warnings)
+    full = solver.solve(eq).solutions[:10]
+    assert [s.indices for s in ss.solutions] == [s.indices for s in full]
+    for s, f in zip(ss.solutions, full):
+        assert np.array_equal(s.X, f.X)
+        assert s.residual == f.residual
+
+
+def test_truncated_enumeration_past_64_indices():
+    # n^d = 2^70 solutions: the first few are still enumerated lexicographically
+    d = 70
+    ctx = qc.circulant_context(np.arange(1, d + 1))
+    eq = solver.MatrixPolyEquation(ctx, [np.zeros(d), -np.arange(1, d + 1) ** 2])
+    ss = solver.solve(eq, enumeration_cap=3, truncate=True)
+    assert ss.total == 2 ** d
+    assert [s.indices for s in ss.solutions] == [
+        (0,) * d, (0,) * (d - 1) + (1,), (0,) * (d - 2) + (1, 0)
+    ]
+    assert all(s.residual < 1e-6 for s in ss.solutions)
+
+
+def test_chunked_enumeration_matches_per_solution_reference(rng, monkeypatch):
+    # 7 rows per chunk at d=4: 81 solutions cross 11 chunk boundaries
+    monkeypatch.setattr(solver, "_CHUNK_ENTRIES", 7 * 4 ** 2)
+    ctx = random_context(rng, 4)
+    coeffs = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(3)]
+    eq = solver.MatrixPolyEquation(ctx, coeffs)
+    ss = solver.solve(eq)
+    cert = solver.Certificate(eq)
+    product = list(itertools.product(*(range(c) for c in ss.counts)))
+    assert len(product) == len(ss.solutions) == 81
+    for indices, s in zip(product, ss.solutions):
+        assert s.indices == indices
+        assert all(type(i) is int for i in s.indices)
+        u = np.array([ss.distinct_roots[i][j].representative for i, j in enumerate(indices)])
+        x = algebra.from_diag_coords(ctx, u)
+        assert np.max(np.abs(s.u - u)) <= 1e-12 * np.max(np.abs(u))
+        assert np.max(np.abs(s.X - x)) <= 1e-12 * np.max(np.abs(x))
+        r = horner_residual(cert.mats, x)
+        assert abs(s.residual - r) <= 1e-12 * max(r, np.max(np.abs(x)))
+
+
+def test_cluster_passes_per_polynomial(monkeypatch):
+    calls = []
+    cluster_roots = solver.poly.cluster_roots
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cluster_roots(*args, **kwargs)
+
+    monkeypatch.setattr(solver.poly, "cluster_roots", counted)
+    eq = paper31_eq()
+    solver.count_solutions(eq)
+    assert len(calls) == eq.ctx.d
+    calls.clear()
+    ss = solver.solve(eq)
+    assert len(calls) == 3 * eq.ctx.d
+    # the 4x swing check still runs in solve: g_2's double root is flagged
+    assert any("tolerance-sensitive" in w for w in ss.warnings)
 
 
 def test_double_root_counts_once():

@@ -62,6 +62,13 @@ def test_dft_unitary(d):
     assert np.linalg.norm(f @ f.conj().T - np.eye(d), "fro") <= 1e-12 * d
 
 
+def test_dft_unitary_to_rounding_at_large_d():
+    # entries come from reduced angles, so F F^H stays at rounding level
+    d = 320
+    f = dft_matrix(d)
+    assert np.max(np.abs(f @ f.conj().T - np.eye(d))) <= 1e-13
+
+
 def test_weighted_circulant_context_paper():
     ctx = weighted_circulant_context(spec(1, 1, 8))
     assert ctx.provenance == "weighted-circulant"
@@ -132,6 +139,14 @@ def test_circulant_scalar_coeffs_matches_horner(rng):
             direct = circulant_scalar_coeffs(a, i)
             horner = p(omega ** (d - i + 1))
             assert abs(direct - horner) < 1e-12 * max(1.0, abs(horner))
+
+
+def test_circulant_scalar_coeffs_match_fft_at_large_d(rng):
+    d = 320
+    a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    f = np.fft.fft(a)
+    for i in range(1, d + 1):
+        assert abs(circulant_scalar_coeffs(a, i) - f[i - 1]) <= 1e-12 * abs(f[i - 1])
 
 
 def test_circulant_context():
