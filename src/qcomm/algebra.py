@@ -26,53 +26,53 @@ DEFAULT_TOL = 1e-8
 
 @dataclass
 class QContext:
-    """A verified diagonalization of Q, shared by all algebra operations.
+    """A verified diagonalization Q = T diag(eigenvalues) T^-1, shared by
+    all algebra operations.
 
-    provenance records where T came from: "generic" for the eigensolver,
-    or a structured tag ("weighted-circulant", "circulant", "companion")
-    when T is a closed form.
+    cond_T is the cheap ||T||_1 * ||T^-1||_1 estimate, used only for
+    warnings; min_gap is the minimum pairwise eigenvalue distance (inf for
+    d = 1). provenance records where T came from: "generic" for the
+    eigensolver, or a structured tag ("weighted-circulant", "circulant",
+    "companion") when T is a closed form.
     """
 
     Q: np.ndarray
-    dec: linalg.EigenDecomposition
-    d: int
+    eigenvalues: np.ndarray
+    T: np.ndarray
+    T_inv: np.ndarray
+    cond_T: float
+    min_gap: float
     distinct_tol: float
     provenance: str = "generic"
     warnings: list = field(default_factory=list)
 
     @property
-    def eigenvalues(self):
-        return self.dec.eigenvalues
-
-    @property
-    def T(self):
-        return self.dec.T
-
-    @property
-    def T_inv(self):
-        return self.dec.T_inv
+    def d(self):
+        return self.Q.shape[0]
 
 
-def assemble_context(q, dec, distinct_tol, provenance="generic"):
+def assemble_context(q, eigs, T, T_inv, distinct_tol, provenance="generic"):
     """The one QContext constructor, for the eigensolver and the closed forms.
 
     Rejects eigenvalues that linalg.check_distinct does not accept, and
-    warns when cond_T exceeds 1e8, whatever produced the decomposition.
+    warns when cond_T exceeds 1e8, whatever produced the basis.
     """
-    if not linalg.check_distinct(dec, distinct_tol):
-        raise NotDistinctEigenvalues(
-            f"minimum eigenvalue gap {dec.min_gap:.3e} below threshold"
-        )
-    ctx = QContext(q, dec, q.shape[0], distinct_tol, provenance)
-    if dec.cond_T > 1e8:
-        ctx.warnings.append(f"ill-conditioned eigenbasis: cond_T ~ {dec.cond_T:.2e}")
+    eigs = np.asarray(eigs, dtype=complex)
+    cond_T = float(np.linalg.norm(T, 1) * np.linalg.norm(T_inv, 1))
+    ok, gap = linalg.check_distinct(eigs, distinct_tol)
+    if not ok:
+        raise NotDistinctEigenvalues(f"minimum eigenvalue gap {gap:.3e} below threshold")
+    ctx = QContext(q, eigs, T, T_inv, cond_T, gap, distinct_tol, provenance)
+    if cond_T > 1e8:
+        ctx.warnings.append(f"ill-conditioned eigenbasis: cond_T ~ {cond_T:.2e}")
     return ctx
 
 
 def make_context(q, distinct_tol=DEFAULT_TOL):
     """Diagonalize Q and verify its eigenvalues are numerically distinct."""
     q = linalg.as_cmatrix(q)
-    return assemble_context(q, linalg.eig(q), distinct_tol)
+    eigs, T = linalg.eig(q)
+    return assemble_context(q, eigs, T, linalg.inverse(T), distinct_tol)
 
 
 def commutator(ctx, a):
@@ -106,7 +106,7 @@ def vandermonde_solve(nodes, values):
     n = len(x)
     if n != len(a):
         raise DimensionMismatch("nodes and values must have equal length")
-    gap = linalg._min_gap(x)
+    gap = linalg.min_gap(x)
     if n > 1 and gap < 1e-12 * max(1.0, float(np.max(np.abs(x)))):
         V = np.vander(x, increasing=True)
         return linalg.solve(V, a)

@@ -11,34 +11,11 @@ import sys
 import numpy as np
 
 from . import algebra, linalg, problems, solver
-from .errors import (
-    DegreeZero,
-    DimensionMismatch,
-    EnumerationCapExceeded,
-    NotDistinctEigenvalues,
-    NotMember,
-    NumericalFailure,
-    ParseError,
-    SingularMatrix,
-    ZeroPolynomial,
-    ZeroWeight,
-)
+from .errors import NotMember, NumericalFailure, ParseError, QcommError, SingularMatrix
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
-
-_VALIDATION_ERRORS = (
-    ParseError,
-    NotDistinctEigenvalues,
-    NotMember,
-    DimensionMismatch,
-    ZeroWeight,
-    ZeroPolynomial,
-    DegreeZero,
-    EnumerationCapExceeded,
-)
-_NUMERICAL_ERRORS = (NumericalFailure, SingularMatrix)
 
 
 def _fmt_c(z):
@@ -109,21 +86,21 @@ def _solve_opts(args, opts):
     return merged
 
 
-def cmd_solve(args, out):
-    ctx, coeffs, opts = problems.load_problem(args.file)
+def _solve_problem(args, problem, out):
+    ctx, coeffs, opts = problem
     eq = solver.MatrixPolyEquation(ctx, coeffs)
     sol_set = solver.solve(eq, **_solve_opts(args, opts))
     _report_solution_set(ctx, sol_set, args.json, out)
     return EXIT_OK
+
+
+def cmd_solve(args, out):
+    return _solve_problem(args, problems.load_problem(args.file), out)
 
 
 def cmd_example(args, out):
     doc = problems.BUILTIN_PROBLEMS[args.name]
-    ctx, coeffs, opts = problems.parse_problem(doc, args.name)
-    eq = solver.MatrixPolyEquation(ctx, coeffs)
-    sol_set = solver.solve(eq, **_solve_opts(args, opts))
-    _report_solution_set(ctx, sol_set, args.json, out)
-    return EXIT_OK
+    return _solve_problem(args, problems.parse_problem(doc, args.name), out)
 
 
 def cmd_check(args, out):
@@ -131,8 +108,8 @@ def cmd_check(args, out):
     x = problems.load_matrix_file(args.candidate)
     comm, comm_scale = algebra.commutator(ctx, x)
     tol = float(opts.get("residual_tol", solver.DEFAULT_RESIDUAL_TOL))
-    cert = solver.Certificate(solver.MatrixPolyEquation(ctx, coeffs))
-    (resid,), (bound,) = cert.check(x[None], tol)
+    eq = solver.MatrixPolyEquation(ctx, coeffs)
+    (resid,), (bound,) = eq.certify(x[None], tol)
     ok = resid <= bound and comm <= tol * comm_scale
     out.write(f"equation residual: {resid:.6e} (bound {bound:.6e})\n")
     out.write(f"commutation residual: {comm:.6e} (bound {tol * comm_scale:.6e})\n")
@@ -140,11 +117,15 @@ def cmd_check(args, out):
     return EXIT_OK if ok else EXIT_INVALID
 
 
-def cmd_repr(args, out):
-    doc = problems.load_json(args.qfile)
+def _load_q_context(path):
+    doc = problems.load_json(path)
     if "q" not in doc:
-        raise ParseError(f"{args.qfile}: missing 'q'")
-    ctx = problems.context_from_q_spec(doc["q"], where=f"{args.qfile}:q")
+        raise ParseError(f"{path}: missing 'q'")
+    return problems.context_from_q_spec(doc["q"], where=f"{path}:q")
+
+
+def cmd_repr(args, out):
+    ctx = _load_q_context(args.qfile)
     a = problems.load_matrix_file(args.afile)
     try:
         p = algebra.repr_poly(ctx, a)
@@ -162,11 +143,7 @@ def cmd_repr(args, out):
 
 
 def cmd_diag(args, out):
-    doc = problems.load_json(args.qfile)
-    if "q" not in doc:
-        raise ParseError(f"{args.qfile}: missing 'q'")
-    ctx = problems.context_from_q_spec(doc["q"], where=f"{args.qfile}:q")
-    dec = ctx.dec
+    ctx = _load_q_context(args.qfile)
     verify = linalg.frobenius(ctx.T_inv @ ctx.Q @ ctx.T - np.diag(ctx.eigenvalues))
     if args.json:
         json.dump(
@@ -174,8 +151,8 @@ def cmd_diag(args, out):
                 "schema": problems.SCHEMA,
                 "provenance": ctx.provenance,
                 "eigenvalues": [problems.emit_complex(z) for z in ctx.eigenvalues],
-                "cond_T": dec.cond_T,
-                "min_gap": dec.min_gap,
+                "cond_T": ctx.cond_T,
+                "min_gap": ctx.min_gap,
                 "verification_residual": verify,
                 "T": problems.emit_matrix(ctx.T),
                 "T_inv": problems.emit_matrix(ctx.T_inv),
@@ -187,8 +164,8 @@ def cmd_diag(args, out):
         return EXIT_OK
     out.write(f"provenance: {ctx.provenance}\n")
     out.write("eigenvalues: " + ", ".join(_fmt_c(z) for z in ctx.eigenvalues) + "\n")
-    out.write(f"cond_T: {dec.cond_T:.6e}\n")
-    out.write(f"min_gap: {dec.min_gap:.6e}\n")
+    out.write(f"cond_T: {ctx.cond_T:.6e}\n")
+    out.write(f"min_gap: {ctx.min_gap:.6e}\n")
     out.write(f"verification residual: {verify:.6e}\n")
     out.write("T:\n")
     _print_matrix(ctx.T, out)
@@ -238,12 +215,12 @@ def main(argv=None, out=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, out)
-    except _VALIDATION_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
-    except _NUMERICAL_ERRORS as exc:
+    except (NumericalFailure, SingularMatrix) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
+    except QcommError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

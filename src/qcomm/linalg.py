@@ -7,7 +7,6 @@ eigenvectors, explicit singularity detection in solves.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -57,22 +56,8 @@ def inverse(a):
     return solve(a, np.eye(a.shape[0], dtype=complex))
 
 
-@dataclass
-class EigenDecomposition:
-    """Eigenvalues and (phase-fixed) eigenvector basis of a square matrix.
-
-    cond_T is a cheap ||T||_1 * ||T^-1||_1 estimate used only for warnings;
-    min_gap is the minimum pairwise eigenvalue distance (inf for d = 1).
-    """
-
-    eigenvalues: np.ndarray
-    T: np.ndarray
-    T_inv: np.ndarray
-    cond_T: float
-    min_gap: float
-
-
-def _min_gap(eigs):
+def min_gap(eigs):
+    """Minimum pairwise eigenvalue distance; inf for fewer than two."""
     d = len(eigs)
     if d < 2:
         return float("inf")
@@ -80,17 +65,8 @@ def _min_gap(eigs):
     return float(np.min(diff[~np.eye(d, dtype=bool)]))
 
 
-def make_decomposition(eigs, T, T_inv=None):
-    """Assemble an EigenDecomposition from a known basis (no eigensolve)."""
-    eigs = np.asarray(eigs, dtype=complex)
-    T = as_cmatrix(T)
-    T_inv = inverse(T) if T_inv is None else as_cmatrix(T_inv)
-    cond_T = float(np.linalg.norm(T, 1) * np.linalg.norm(T_inv, 1))
-    return EigenDecomposition(eigs, T, T_inv, cond_T, _min_gap(eigs))
-
-
 def eig(q):
-    """Eigendecomposition with deterministic ordering and phases.
+    """(eigenvalues, T) with deterministic ordering and phases.
 
     Eigenvalues sorted ascending by (real, imag); each eigenvector has unit
     norm and its first non-negligible component rotated to be real positive,
@@ -112,18 +88,12 @@ def eig(q):
         big = np.nonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0][0]
         v = v * (np.conj(v[big]) / abs(v[big]))
         vecs[:, j] = v
-    return make_decomposition(vals, vecs)
+    return vals, vecs
 
 
-def check_distinct(dec, tol):
-    """True iff the eigenvalue gaps clear tol relative to eigenvalue scale.
-
-    dec is an EigenDecomposition, or a bare eigenvalue array when no basis
-    has been built yet.
-    """
-    if isinstance(dec, EigenDecomposition):
-        eigs, gap = dec.eigenvalues, dec.min_gap
-    else:
-        eigs = np.asarray(dec, dtype=complex)
-        gap = _min_gap(eigs)
-    return gap > tol * max(1.0, float(np.max(np.abs(eigs))))
+def check_distinct(eigs, tol):
+    """(ok, gap): the minimum pairwise gap of eigs, and whether it clears tol
+    relative to the eigenvalue scale max(1, max|eig|)."""
+    eigs = np.asarray(eigs, dtype=complex)
+    gap = min_gap(eigs)
+    return gap > tol * max(1.0, float(np.max(np.abs(eigs)))), gap

@@ -119,29 +119,26 @@ def cluster_roots(rs, tol_abs, tol_rel, poly=None):
     """
     rs = np.asarray(rs, dtype=complex)
     m = len(rs)
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            thr = tol_abs + tol_rel * max(abs(rs[i]), abs(rs[j]))
-            if abs(rs[i] - rs[j]) <= thr:
-                parent[find(i)] = find(j)
-
+    mag = np.abs(rs)
+    near = np.abs(rs[:, None] - rs) <= tol_abs + tol_rel * np.maximum(mag[:, None], mag)
+    np.fill_diagonal(near, True)
+    # Each root takes the smallest label among its neighbours until nothing
+    # moves; every root then carries the smallest index of its component.
+    # (initial=m only matters when there are no roots.)
+    labels = np.arange(m)
+    while True:
+        spread = np.where(near, labels, m).min(axis=1, initial=m)
+        if (spread == labels).all():
+            break
+        labels = spread
+    resid = np.abs(poly(rs)) if poly is not None else np.zeros(m)
     groups = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(rs[i])
-
+    for i, head in enumerate(labels.tolist()):
+        groups.setdefault(head, []).append(i)
     clusters = []
     for members in groups.values():
-        members = np.asarray(members)
-        rep = complex(members.mean())
-        resid = float(np.max(np.abs(poly(members)))) if poly is not None else 0.0
-        clusters.append(RootCluster(rep, len(members), resid))
+        # np.mean's own arithmetic, without its call overhead
+        rep = complex(rs[members].sum() / len(members))
+        clusters.append(RootCluster(rep, len(members), float(resid[members].max())))
     clusters.sort(key=lambda c: (c.representative.real, c.representative.imag))
     return clusters

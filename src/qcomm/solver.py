@@ -7,6 +7,7 @@ The total count is the product of the per-index distinct-root counts and
 never exceeds n^d.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +25,6 @@ DEFAULT_ENUMERATION_CAP = 10 ** 6
 _CHUNK_ENTRIES = 1 << 15
 
 
-@dataclass
 class MatrixPolyEquation:
     """A monic matrix polynomial equation over the commutant of ctx.Q.
 
@@ -32,92 +32,75 @@ class MatrixPolyEquation:
     constant term; each entry may be a d x d matrix (a member of the
     algebra), a Polynomial (its representation polynomial), or a length-d
     vector of diagonal coordinates.
+
+    The coefficients are normalized once, here: coords is the (n, d) array
+    whose row k holds the diagonal coordinates of coefficient k+1, and
+    given[k] is that coefficient as the caller's d x d matrix, or None when
+    it was a Polynomial or a coordinate vector. Each matrix coefficient is
+    projected with algebra.diag_coords once, so a non-member raises
+    NotMember and a wrongly shaped one DimensionMismatch.
     """
 
-    ctx: algebra.QContext
-    coeffs: list
+    def __init__(self, ctx, coeffs):
+        self.ctx = ctx
+        d = ctx.d
+        self.coords = np.empty((len(coeffs), d), dtype=complex)
+        self.given = [None] * len(coeffs)
+        for k, c in enumerate(coeffs):
+            if isinstance(c, poly.Polynomial):
+                self.coords[k] = c(ctx.eigenvalues)
+                continue
+            arr = np.asarray(c, dtype=complex)
+            if arr.ndim == 1:
+                if arr.shape != (d,):
+                    raise DimensionMismatch(
+                        f"coefficient {k + 1}: expected {d} diag coordinates"
+                    )
+                self.coords[k] = arr
+            else:
+                self.given[k] = arr
+                self.coords[k] = algebra.diag_coords(ctx, arr)
 
     @property
     def n(self):
-        return len(self.coeffs)
+        return len(self.coords)
 
-
-def normalize_coeffs(eq):
-    """The one coefficient-kind dispatch: (coords, given).
-
-    coords is the (n, d) array whose row k holds the diagonal coordinates of
-    coefficient k+1. given[k] is that coefficient as the caller's d x d
-    matrix, or None when it was a Polynomial or a coordinate vector. Each
-    matrix coefficient is projected with algebra.diag_coords once per call.
-    """
-    d = eq.ctx.d
-    coords = np.empty((eq.n, d), dtype=complex)
-    given = [None] * eq.n
-    for k, c in enumerate(eq.coeffs):
-        if isinstance(c, poly.Polynomial):
-            coords[k] = c(eq.ctx.eigenvalues)
-            continue
-        arr = np.asarray(c, dtype=complex)
-        if arr.ndim == 1:
-            if arr.shape != (d,):
-                raise DimensionMismatch(
-                    f"coefficient {k + 1}: expected {d} diag coordinates"
-                )
-            coords[k] = arr
-        else:
-            given[k] = arr
-            coords[k] = algebra.diag_coords(eq.ctx, arr)
-    return coords, given
-
-
-def build_scalar_polys(eq, coords=None):
-    """The d monic degree-n scalar polynomials, one per eigenvalue.
-
-    coords is the array from normalize_coeffs(eq), for a caller that has
-    already normalized the coefficients.
-    """
-    if coords is None:
-        coords, _ = normalize_coeffs(eq)
-    n, d = coords.shape
-    asc = np.ones((d, n + 1), dtype=complex)
-    asc[:, :n] = coords[::-1].T
-    return [poly.Polynomial(row) for row in asc]
-
-
-class Certificate:
-    """The one solution certificate, shared by solve, verify_solution and
-    the CLI check.
-
-    It checks a candidate X against the coefficient matrices: matrix
-    coefficients exactly as the caller gave them, the others rebuilt as
-    T diag(coords) T^-1. X passes when its residual is within its bound.
-    """
-
-    def __init__(self, eq, normalized=None):
-        coords, given = normalize_coeffs(eq) if normalized is None else normalized
-        self.mats = [
-            a if a is not None else algebra.from_diag_coords(eq.ctx, coords[k])
-            for k, a in enumerate(given)
+    @functools.cached_property
+    def mats(self):
+        """The coefficient matrices the certificate checks against: matrix
+        coefficients exactly as the caller gave them, the others rebuilt as
+        T diag(coords) T^-1. Built on first use, so counting never forms
+        d x d matrices."""
+        return [
+            a if a is not None else algebra.from_diag_coords(self.ctx, self.coords[k])
+            for k, a in enumerate(self.given)
         ]
-        self.coeff_norm = max(linalg.frobenius(a) for a in self.mats)
 
-    def check(self, xs, residual_tol):
-        """(residuals, bounds) for a (m, d, d) stack of candidates.
+    def certify(self, xs, residual_tol):
+        """The one solution certificate, shared by solve, verify_solution
+        and the CLI check: (residuals, bounds) for a (m, d, d) stack of
+        candidates, each passing when its residual is within its bound.
 
         residuals[j] = ||X_j^n + A_1 X_j^(n-1) + ... + A_n||_F by Horner
-        evaluation; bounds[j] = residual_tol * (1+||X_j||_F)^n * (1+max_k ||A_k||_F).
+        evaluation against mats; bounds[j] = residual_tol * (1+||X_j||_F)^n
+        * (1+max_k ||A_k||_F).
         """
-        acc = xs + self.mats[0]
-        for a in self.mats[1:]:
+        mats = self.mats
+        acc = xs + mats[0]
+        for a in mats[1:]:
             acc = acc @ xs + a
-        n = len(self.mats)
+        coeff_norm = max(linalg.frobenius(a) for a in mats)
         x_norms = np.linalg.norm(xs, axis=(1, 2))
-        bounds = residual_tol * (1.0 + x_norms) ** n * (1.0 + self.coeff_norm)
+        bounds = residual_tol * (1.0 + x_norms) ** len(mats) * (1.0 + coeff_norm)
         return np.linalg.norm(acc, axis=(1, 2)), bounds
 
-    def residual(self, x):
-        """check's residual for one d x d candidate."""
-        return float(self.check(np.asarray(x)[None], 0.0)[0][0])
+
+def build_scalar_polys(eq):
+    """The d monic degree-n scalar polynomials, one per eigenvalue."""
+    n, d = eq.coords.shape
+    asc = np.ones((d, n + 1), dtype=complex)
+    asc[:, :n] = eq.coords[::-1].T
+    return [poly.Polynomial(row) for row in asc]
 
 
 def verify_solution(eq, x):
@@ -125,7 +108,7 @@ def verify_solution(eq, x):
     x = linalg.as_cmatrix(x)
     if x.shape != eq.ctx.Q.shape:
         raise DimensionMismatch(f"expected {eq.ctx.Q.shape}, got {x.shape}")
-    return Certificate(eq).residual(x)
+    return float(eq.certify(x[None], 0.0)[0][0])
 
 
 @dataclass
@@ -195,12 +178,11 @@ def solve(
     each scalar polynomial sorted by (real, imag). Solutions are built and
     certified in chunks: each chunk is a stack of candidates T diag(u) T^-1,
     members by construction, formed by one algebra.from_diag_coords call
-    and checked by one Certificate.check call. Residuals over the bound are
+    and checked by one eq.certify call. Residuals over the bound are
     reported in warnings, never dropped.
     """
     tol = algebra.DEFAULT_TOL if cluster_tol is None else cluster_tol
-    normalized = normalize_coeffs(eq)
-    gs = build_scalar_polys(eq, normalized[0])
+    gs = build_scalar_polys(eq)
     all_clusters = []
     warnings_out = list(eq.ctx.warnings)
     for i, g in enumerate(gs):
@@ -219,7 +201,6 @@ def solve(
             f"{total} solutions exceed cap {enumeration_cap}; pass truncate=True"
         )
 
-    cert = Certificate(eq, normalized)
     # representatives of all clusters in one array; index i's roots start
     # at offsets[i]
     reps = np.array([c.representative for cs in all_clusters for c in cs], dtype=complex)
@@ -231,7 +212,7 @@ def solve(
         idx = _mixed_radix(np.arange(start, min(start + rows, emitted)), counts)
         us = reps[idx + offsets]
         xs = algebra.from_diag_coords(eq.ctx, us)
-        resids, bounds = cert.check(xs, residual_tol)
+        resids, bounds = eq.certify(xs, residual_tol)
         keys = [tuple(row) for row in idx.tolist()]
         for j in np.nonzero(resids > bounds)[0]:
             warnings_out.append(

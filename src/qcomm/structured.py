@@ -72,13 +72,13 @@ def dft_matrix(d):
 
 def _structured_context(q, eigs, T, T_inv, provenance, distinct_tol, resid_bound):
     """Check the closed-form diagonalization, then assemble the context."""
-    dec = linalg.make_decomposition(eigs, T, T_inv)
-    resid = linalg.frobenius(T_inv @ q @ T - np.diag(dec.eigenvalues))
+    T, T_inv = linalg.as_cmatrix(T), linalg.as_cmatrix(T_inv)
+    resid = linalg.frobenius(T_inv @ q @ T - np.diag(eigs))
     if resid > resid_bound:
         raise NumericalFailure(
             f"closed-form diagonalization residual {resid:.3e} exceeds {resid_bound:.3e}"
         )
-    return assemble_context(q, dec, distinct_tol, provenance)
+    return assemble_context(q, eigs, T, T_inv, distinct_tol, provenance)
 
 
 def weighted_circulant_context(spec, distinct_tol=DEFAULT_TOL):
@@ -160,7 +160,7 @@ def companion_context(lambdas, distinct_tol=DEFAULT_TOL):
     lambdas = np.asarray(lambdas, dtype=complex)
     d = len(lambdas)
     # Checked before inverting T: coincident nodes make T singular.
-    if not linalg.check_distinct(lambdas, distinct_tol):
+    if not linalg.check_distinct(lambdas, distinct_tol)[0]:
         raise NotDistinctEigenvalues("companion eigenvalues are not distinct")
     f = from_roots(lambdas)
     pi = companion_matrix(f.coeffs)

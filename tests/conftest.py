@@ -33,11 +33,35 @@ def random_context(rng, d, gap=0.1):
 
 def horner_residual(mats, x):
     """||X^n + A_1 X^(n-1) + ... + A_n||_F for one candidate, one matrix at
-    a time: a reference that shares no code with solver.Certificate."""
+    a time: a reference that shares no code with MatrixPolyEquation.certify."""
     acc = x + mats[0]
     for a in mats[1:]:
         acc = acc @ x + a
     return float(np.linalg.norm(acc))
+
+
+def single_linkage_reference(rs, tol_abs, tol_rel, poly=None):
+    """Clusters of rs by a flood fill that tests one pair of roots at a time:
+    a reference that shares no code with poly.cluster_roots. Members are
+    averaged in index order, and clusters sorted by (real, imag)."""
+    rs = [complex(r) for r in rs]
+    unseen = list(range(len(rs)))
+    clusters = []
+    while unseen:
+        comp = [unseen.pop(0)]
+        frontier = list(comp)
+        while frontier:
+            a = frontier.pop()
+            for b in list(unseen):
+                if abs(rs[a] - rs[b]) <= tol_abs + tol_rel * max(abs(rs[a]), abs(rs[b])):
+                    unseen.remove(b)
+                    comp.append(b)
+                    frontier.append(b)
+        members = np.array([rs[j] for j in sorted(comp)])
+        resid = max(abs(poly(z)) for z in members) if poly is not None else 0.0
+        clusters.append(qc.RootCluster(complex(members.mean()), len(members), resid))
+    clusters.sort(key=lambda c: (c.representative.real, c.representative.imag))
+    return clusters
 
 
 def match_matrices(xs, ys):

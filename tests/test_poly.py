@@ -4,7 +4,7 @@ import pytest
 from qcomm.errors import DegreeZero, ZeroPolynomial
 from qcomm.poly import Polynomial, cluster_roots, from_roots, roots, scale
 
-from conftest import match_values
+from conftest import match_values, single_linkage_reference
 
 
 def test_eval_known_roots():
@@ -86,6 +86,8 @@ def test_cluster_separated_roots():
     clusters = cluster_roots([1.0, 4.0], 1e-8, 1e-8)
     assert [c.multiplicity for c in clusters] == [1, 1]
     assert clusters[0].representative == pytest.approx(1)
+    # a NaN root is near nothing, not even another NaN
+    assert [c.multiplicity for c in cluster_roots([np.nan, np.nan, 1.0], 1e-8, 1e-8)] == [1, 1, 1]
 
 
 def test_cluster_empty():
@@ -113,6 +115,35 @@ def test_cluster_representative_is_mean():
     clusters = cluster_roots([1.0, 1.0 + 4e-9, 5.0], 1e-8, 1e-8)
     assert clusters[0].representative == pytest.approx(1.0 + 2e-9, abs=1e-12)
     assert clusters[0].multiplicity == 2
+
+
+def test_cluster_chain_longer_than_threshold(rng):
+    # 50 roots 0.9e-3 apart: the ends are 0.044 apart, far past the 1e-3
+    # link length, but the chain makes them one cluster in any input order
+    chain = 0.9e-3 * np.arange(50) * np.exp(0.3j)
+    for rs in (chain, rng.permutation(chain)):
+        clusters = cluster_roots(rs, 1e-3, 0.0)
+        assert len(clusters) == 1
+        assert clusters[0].multiplicity == 50
+    assert len(cluster_roots(chain[[0, -1]], 1e-3, 0.0)) == 2
+
+
+def test_cluster_matches_single_linkage_reference(rng):
+    for _ in range(60):
+        base = rng.uniform(-2, 2, 12) + 1j * rng.uniform(-2, 2, 12)
+        # near-coincident copies at several scales, so clusters of 1 to 4
+        # members form at each tolerance
+        jitter = 10.0 ** rng.integers(-10, -1, 12) * np.exp(2j * np.pi * rng.uniform(size=12))
+        rs = rng.permutation(np.concatenate([base, base[:8] + jitter[:8], base[:4] - jitter[4:8]]))
+        g = from_roots(rs[:10])
+        for tol in (1e-8, 1e-5, 1e-2):
+            got = cluster_roots(rs, tol, tol, poly=g)
+            ref = single_linkage_reference(rs, tol, tol, poly=g)
+            assert [(c.representative, c.multiplicity) for c in got] == [
+                (c.representative, c.multiplicity) for c in ref
+            ]
+            for c, r in zip(got, ref):
+                assert c.member_residual == pytest.approx(r.member_residual, rel=1e-12, abs=1e-300)
 
 
 def test_root_product_reconstruction(rng):

@@ -7,7 +7,7 @@ import pytest
 
 import qcomm as qc
 from qcomm import algebra, cli, problems, solver
-from qcomm.errors import ParseError
+from qcomm.errors import NumericalFailure, ParseError, QcommError, SingularMatrix
 
 from conftest import horner_residual, random_context
 
@@ -139,12 +139,11 @@ def test_cli_solve_text_matches_per_solution_reference(tmp_path, name):
     ctx, coeffs, _ = problems.parse_problem(doc, name)
     eq = solver.MatrixPolyEquation(ctx, coeffs)
     ss = solver.solve(eq)
-    cert = solver.Certificate(eq)
     ref = io.StringIO()
     for indices in itertools.product(*(range(c) for c in ss.counts)):
         u = [ss.distinct_roots[i][j].representative for i, j in enumerate(indices)]
         x = algebra.from_diag_coords(ctx, u)
-        ref.write(f"solution {indices}  residual {horner_residual(cert.mats, x):.3e}\n")
+        ref.write(f"solution {indices}  residual {horner_residual(eq.mats, x):.3e}\n")
         cli._print_matrix(x, ref)
     assert text[text.index("solution ("):] == ref.getvalue()
 
@@ -258,6 +257,16 @@ def test_cli_malformed_input_exits_2(tmp_path):
     assert rc == 2
     rc, _ = run_cli(["solve", str(tmp_path / "missing.json")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("error", QcommError.__subclasses__(), ids=lambda e: e.__name__)
+def test_cli_exit_code_follows_error_class(monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(solver, "solve", fail)
+    rc, _ = run_cli(["example", "paper-3.1"])
+    assert rc == (3 if issubclass(error, (NumericalFailure, SingularMatrix)) else 2)
 
 
 def test_builtin_problems_parse():

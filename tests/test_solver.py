@@ -196,13 +196,31 @@ def test_verify_solution_matches_naive(rng):
     assert abs(solver.verify_solution(eq, x) - np.linalg.norm(naive, "fro")) < 1e-12
 
 
+def test_one_projection_per_equation(rng, monkeypatch):
+    calls = []
+    diag_coords = algebra.diag_coords
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return diag_coords(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "diag_coords", counted)
+    ctx = random_context(rng, 3)
+    mats = [algebra.from_diag_coords(ctx, rng.standard_normal(3)) for _ in range(2)]
+    eq = solver.MatrixPolyEquation(ctx, mats)
+    solver.count_solutions(eq)
+    assert "mats" not in vars(eq)  # counting builds no d x d matrices
+    ss = solver.solve(eq)
+    solver.verify_solution(eq, ss.solutions[0].X)
+    assert len(calls) == 2
+
+
 def test_non_member_coefficient_rejected():
     ctx = qc.companion_context([1, 2, 3])
     bad = np.zeros((3, 3), dtype=complex)
     bad[0, 1] = 1.0
-    eq = solver.MatrixPolyEquation(ctx, [bad])
     with pytest.raises(NotMember):
-        solver.solve(eq)
+        solver.MatrixPolyEquation(ctx, [bad])
 
 
 def test_enumeration_cap(rng):
@@ -244,7 +262,6 @@ def test_chunked_enumeration_matches_per_solution_reference(rng, monkeypatch):
     coeffs = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(3)]
     eq = solver.MatrixPolyEquation(ctx, coeffs)
     ss = solver.solve(eq)
-    cert = solver.Certificate(eq)
     product = list(itertools.product(*(range(c) for c in ss.counts)))
     assert len(product) == len(ss.solutions) == 81
     for indices, s in zip(product, ss.solutions):
@@ -254,7 +271,7 @@ def test_chunked_enumeration_matches_per_solution_reference(rng, monkeypatch):
         x = algebra.from_diag_coords(ctx, u)
         assert np.max(np.abs(s.u - u)) <= 1e-12 * np.max(np.abs(u))
         assert np.max(np.abs(s.X - x)) <= 1e-12 * np.max(np.abs(x))
-        r = horner_residual(cert.mats, x)
+        r = horner_residual(eq.mats, x)
         assert abs(s.residual - r) <= 1e-12 * max(r, np.max(np.abs(x)))
 
 

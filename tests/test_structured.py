@@ -115,8 +115,8 @@ def test_structured_matches_generic_eigensolver(rng):
         w = rng.uniform(0.5, 2, d) * np.exp(1j * rng.uniform(0, 2 * np.pi, d))
         s = spec(*w)
         ctx = weighted_circulant_context(s)
-        dec = linalg.eig(weighted_circulant_matrix(s))
-        assert match_values(ctx.eigenvalues, dec.eigenvalues) < 1e-8
+        eigs, _ = linalg.eig(weighted_circulant_matrix(s))
+        assert match_values(ctx.eigenvalues, eigs) < 1e-8
 
 
 def test_circulant_scalar_coeffs_constant():
@@ -153,8 +153,8 @@ def test_circulant_context():
     a = [1.0, 2.0, 0.5]
     ctx = circulant_context(a)
     assert ctx.provenance == "circulant"
-    dec = linalg.eig(ctx.Q)
-    assert match_values(ctx.eigenvalues, dec.eigenvalues) < 1e-10
+    eigs, _ = linalg.eig(ctx.Q)
+    assert match_values(ctx.eigenvalues, eigs) < 1e-10
 
 
 def test_companion_context_paper():
@@ -180,7 +180,7 @@ def test_companion_matrix_coeffs():
 def test_structured_contexts_warn_when_ill_conditioned():
     assert companion_context([1, 2, 3]).warnings == []
     ctx = companion_context(range(1, 9))
-    assert ctx.dec.cond_T > 1e8
+    assert ctx.cond_T > 1e8
     assert any(w.startswith("ill-conditioned eigenbasis") for w in ctx.warnings)
 
 
@@ -198,5 +198,5 @@ def test_companion_cross_check_eig(rng):
             if np.min(diff[~np.eye(d, dtype=bool)]) > 0.2:
                 break
         ctx = companion_context(lam)
-        dec = linalg.eig(ctx.Q)
-        assert match_values(lam, dec.eigenvalues) < 1e-8
+        eigs, _ = linalg.eig(ctx.Q)
+        assert match_values(lam, eigs) < 1e-8
