@@ -42,7 +42,6 @@ from .solver import (
 from .structured import (
     WeightedCirculantSpec,
     circulant_context,
-    circulant_scalar_coeffs,
     companion_context,
     companion_matrix,
     dft_matrix,

@@ -18,6 +18,8 @@ from .errors import (
     IllConditionedWarning,
     NotDistinctEigenvalues,
     NotMember,
+    NumericalFailure,
+    SingularMatrix,
 )
 from .poly import Polynomial
 
@@ -42,7 +44,6 @@ class QContext:
     T_inv: np.ndarray
     cond_T: float
     min_gap: float
-    distinct_tol: float
     provenance: str = "generic"
     warnings: list = field(default_factory=list)
 
@@ -54,15 +55,23 @@ class QContext:
 def assemble_context(q, eigs, T, T_inv, distinct_tol, provenance="generic"):
     """The one QContext constructor, for the eigensolver and the closed forms.
 
-    Rejects eigenvalues that linalg.check_distinct does not accept, and
-    warns when cond_T exceeds 1e8, whatever produced the basis.
+    Raises NumericalFailure when Q, the eigenvalues, T or T_inv have a
+    non-finite entry (a computation overflowed), then rejects eigenvalues
+    that linalg.check_distinct does not accept, and warns when cond_T
+    exceeds 1e8, whatever produced the basis. T_inv=None inverts T by
+    pivoted LU once both checks have passed (coincident eigenvalues make T
+    singular).
     """
     eigs = np.asarray(eigs, dtype=complex)
-    cond_T = float(np.linalg.norm(T, 1) * np.linalg.norm(T_inv, 1))
+    if not all(np.isfinite(a).all() for a in (q, eigs, T, T_inv) if a is not None):
+        raise NumericalFailure(f"{provenance} diagonalization has non-finite entries")
     ok, gap = linalg.check_distinct(eigs, distinct_tol)
     if not ok:
         raise NotDistinctEigenvalues(f"minimum eigenvalue gap {gap:.3e} below threshold")
-    ctx = QContext(q, eigs, T, T_inv, cond_T, gap, distinct_tol, provenance)
+    if T_inv is None:
+        T_inv = linalg.inverse(T)
+    cond_T = float(np.linalg.norm(T, 1) * np.linalg.norm(T_inv, 1))
+    ctx = QContext(q, eigs, T, T_inv, cond_T, gap, provenance)
     if cond_T > 1e8:
         ctx.warnings.append(f"ill-conditioned eigenbasis: cond_T ~ {cond_T:.2e}")
     return ctx
@@ -95,30 +104,6 @@ def is_member(ctx, a, tol=DEFAULT_TOL):
     return resid <= tol * scale
 
 
-def vandermonde_solve(nodes, values):
-    """Solve sum_j c_j * x_i^j = v_i by the Björck–Pereyra progressive scheme.
-
-    Falls back to LU on nearly coincident nodes (excluded upstream by the
-    distinct-eigenvalue check, but cheap insurance).
-    """
-    x = np.asarray(nodes, dtype=complex)
-    a = np.array(values, dtype=complex)
-    n = len(x)
-    if n != len(a):
-        raise DimensionMismatch("nodes and values must have equal length")
-    gap = linalg.min_gap(x)
-    if n > 1 and gap < 1e-12 * max(1.0, float(np.max(np.abs(x)))):
-        V = np.vander(x, increasing=True)
-        return linalg.solve(V, a)
-    for k in range(n - 1):
-        for j in range(n - 1, k, -1):
-            a[j] = (a[j] - a[j - 1]) / (x[j] - x[j - k - 1])
-    for k in range(n - 2, -1, -1):
-        for j in range(k, n - 1):
-            a[j] -= x[k] * a[j + 1]
-    return a
-
-
 def _member_diag(ctx, a, tol):
     """Diagonal of T^-1 A T after is_member(ctx, a, tol) accepts A."""
     if not is_member(ctx, a, tol):
@@ -140,19 +125,26 @@ def repr_poly(ctx, a, tol=DEFAULT_TOL):
     """Representation polynomial of a member: the unique degree <= d-1
     polynomial f with A = f(Q).
 
-    Coefficients come from the Vandermonde system in the eigenvalues with
-    the diagonal of T^-1 A T as right-hand side. Raises NotMember exactly
-    when is_member(ctx, a, tol) is false; warns when the node set is badly
+    Coefficients solve the Vandermonde system in the eigenvalues, with the
+    diagonal of T^-1 A T as right-hand side, by pivoted LU with no
+    pivot-size gate (the distinct-eigenvalue check already rules out a
+    singular system, and Vandermonde rows differ in scale by up to
+    max|eigenvalue|^(d-1)). Raises NotMember exactly when
+    is_member(ctx, a, tol) is false; warns when the node set is badly
     conditioned.
     """
     diag = _member_diag(ctx, a, tol)
-    vcond = np.linalg.cond(np.vander(ctx.eigenvalues, increasing=True))
+    V = np.vander(ctx.eigenvalues, increasing=True)
+    vcond = np.linalg.cond(V)
     if vcond > 1e10:
         warnings.warn(
             f"Vandermonde system condition ~ {vcond:.2e}; coefficients may be inaccurate",
             IllConditionedWarning,
         )
-    return Polynomial(vandermonde_solve(ctx.eigenvalues, diag))
+    try:
+        return Polynomial(np.linalg.solve(V, diag))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"Vandermonde system: {exc}") from exc
 
 
 def from_diag_coords(ctx, u):

@@ -35,17 +35,15 @@ def _print_matrix(m, out, indent="  "):
 def _solution_set_doc(ctx, sol_set):
     return {
         "schema": problems.SCHEMA,
-        "eigenvalues": [problems.emit_complex(z) for z in ctx.eigenvalues],
-        "scalar_polys": [
-            [problems.emit_complex(c) for c in g.coeffs] for g in sol_set.scalar_polys
-        ],
+        "eigenvalues": problems.emit(ctx.eigenvalues),
+        "scalar_polys": [problems.emit(g.coeffs) for g in sol_set.scalar_polys],
         "counts": sol_set.counts,
         "total": sol_set.total,
         "solutions": [
             {
                 "indices": list(s.indices),
-                "u": [problems.emit_complex(z) for z in s.u],
-                "matrix": problems.emit_matrix(s.X),
+                "u": problems.emit(s.u),
+                "matrix": problems.emit(s.X),
                 "residual": s.residual,
             }
             for s in sol_set.solutions
@@ -74,8 +72,8 @@ def _report_solution_set(ctx, sol_set, as_json, out):
 def _solve_opts(args, opts):
     merged = {
         "cluster_tol": opts.get("cluster_tol"),
-        "residual_tol": float(opts.get("residual_tol", solver.DEFAULT_RESIDUAL_TOL)),
-        "enumeration_cap": int(opts.get("cap", solver.DEFAULT_ENUMERATION_CAP)),
+        "residual_tol": opts.get("residual_tol", solver.DEFAULT_RESIDUAL_TOL),
+        "enumeration_cap": opts.get("cap", solver.DEFAULT_ENUMERATION_CAP),
     }
     if getattr(args, "cluster_tol", None) is not None:
         merged["cluster_tol"] = args.cluster_tol
@@ -107,7 +105,7 @@ def cmd_check(args, out):
     ctx, coeffs, opts = problems.load_problem(args.problem)
     x = problems.load_matrix_file(args.candidate)
     comm, comm_scale = algebra.commutator(ctx, x)
-    tol = float(opts.get("residual_tol", solver.DEFAULT_RESIDUAL_TOL))
+    tol = opts.get("residual_tol", solver.DEFAULT_RESIDUAL_TOL)
     eq = solver.MatrixPolyEquation(ctx, coeffs)
     (resid,), (bound,) = eq.certify(x[None], tol)
     ok = resid <= bound and comm <= tol * comm_scale
@@ -150,12 +148,12 @@ def cmd_diag(args, out):
             {
                 "schema": problems.SCHEMA,
                 "provenance": ctx.provenance,
-                "eigenvalues": [problems.emit_complex(z) for z in ctx.eigenvalues],
+                "eigenvalues": problems.emit(ctx.eigenvalues),
                 "cond_T": ctx.cond_T,
                 "min_gap": ctx.min_gap,
                 "verification_residual": verify,
-                "T": problems.emit_matrix(ctx.T),
-                "T_inv": problems.emit_matrix(ctx.T_inv),
+                "T": problems.emit(ctx.T),
+                "T_inv": problems.emit(ctx.T_inv),
             },
             out,
             indent=2,

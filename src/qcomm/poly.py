@@ -100,16 +100,14 @@ class RootCluster:
     """A group of numerically coincident roots.
 
     representative is the mean of the members (multiplicity-weighted,
-    order-independent); member_residual is max |p(root)| over members when
-    the source polynomial is supplied.
+    order-independent).
     """
 
     representative: complex
     multiplicity: int
-    member_residual: float = 0.0
 
 
-def cluster_roots(rs, tol_abs, tol_rel, poly=None):
+def cluster_roots(rs, tol_abs, tol_rel):
     """Partition roots into clusters by single-linkage proximity.
 
     Two roots join one cluster iff some chain connects them with each link
@@ -131,7 +129,6 @@ def cluster_roots(rs, tol_abs, tol_rel, poly=None):
         if (spread == labels).all():
             break
         labels = spread
-    resid = np.abs(poly(rs)) if poly is not None else np.zeros(m)
     groups = {}
     for i, head in enumerate(labels.tolist()):
         groups.setdefault(head, []).append(i)
@@ -139,6 +136,6 @@ def cluster_roots(rs, tol_abs, tol_rel, poly=None):
     for members in groups.values():
         # np.mean's own arithmetic, without its call overhead
         rep = complex(rs[members].sum() / len(members))
-        clusters.append(RootCluster(rep, len(members), float(resid[members].max())))
+        clusters.append(RootCluster(rep, len(members)))
     clusters.sort(key=lambda c: (c.representative.real, c.representative.imag))
     return clusters

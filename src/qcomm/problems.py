@@ -8,6 +8,7 @@ whose entries are tagged "matrix", "repr_poly", or "diag_coords".
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -19,15 +20,18 @@ SCHEMA = "qcomm/1"
 
 Q_VARIANTS = ("matrix", "weighted_circulant", "circulant", "companion_eigenvalues")
 COEFF_VARIANTS = ("matrix", "repr_poly", "diag_coords")
+TOLERANCE_OPTIONS = ("cluster_tol", "residual_tol", "distinct_tol")
 
 
 def parse_complex(v, where="value"):
     if (
         not isinstance(v, (list, tuple))
         or len(v) != 2
-        or not all(isinstance(x, (int, float)) for x in v)
+        or not all(isinstance(x, (int, float)) and math.isfinite(x) for x in v)
     ):
-        raise ParseError(f"{where}: complex scalar must be a two-element [re, im] array")
+        raise ParseError(
+            f"{where}: complex scalar must be a two-element [re, im] array of finite numbers"
+        )
     return complex(v[0], v[1])
 
 
@@ -47,13 +51,9 @@ def parse_matrix(v, where="matrix"):
     return np.vstack(rows)
 
 
-def emit_complex(z):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def emit_matrix(m):
-    return [[emit_complex(z) for z in row] for row in np.asarray(m)]
+def emit(a):
+    """Wire form of a complex array of any shape: each scalar becomes [re, im]."""
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
 def _check_schema(doc, path):
@@ -116,14 +116,28 @@ def load_problem(path):
 
 
 def parse_problem(doc, path="<problem>"):
+    """(QContext, coefficient list, options dict) of a problem document.
+
+    The options it knows are checked here: the tolerances cluster_tol,
+    residual_tol and distinct_tol must be finite non-negative numbers, and
+    cap a positive integer; a bad value raises ParseError naming its key.
+    """
     _check_schema(doc, path)
     if "q" not in doc:
         raise ParseError(f"{path}: missing 'q'")
     opts = doc.get("options", {})
     if not isinstance(opts, dict):
         raise ParseError(f"{path}: 'options' must be an object")
-    distinct_tol = float(opts.get("distinct_tol", algebra.DEFAULT_TOL))
-    ctx = context_from_q_spec(doc["q"], distinct_tol, f"{path}:q")
+    for key in TOLERANCE_OPTIONS:
+        v = opts.get(key, 0.0)
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 <= v < math.inf:
+            raise ParseError(f"{path}: option {key!r} must be a finite non-negative number")
+    cap = opts.get("cap", 1)
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise ParseError(f"{path}: option 'cap' must be a positive integer")
+    ctx = context_from_q_spec(
+        doc["q"], opts.get("distinct_tol", algebra.DEFAULT_TOL), f"{path}:q"
+    )
     n = doc.get("degree")
     coeff_entries = doc.get("coefficients")
     if not isinstance(n, int) or n < 1:

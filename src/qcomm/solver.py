@@ -38,7 +38,8 @@ class MatrixPolyEquation:
     given[k] is that coefficient as the caller's d x d matrix, or None when
     it was a Polynomial or a coordinate vector. Each matrix coefficient is
     projected with algebra.diag_coords once, so a non-member raises
-    NotMember and a wrongly shaped one DimensionMismatch.
+    NotMember and a wrongly shaped one DimensionMismatch, as does any
+    coefficient whose coordinates are not all finite.
     """
 
     def __init__(self, ctx, coeffs):
@@ -60,6 +61,8 @@ class MatrixPolyEquation:
             else:
                 self.given[k] = arr
                 self.coords[k] = algebra.diag_coords(ctx, arr)
+        if not np.isfinite(self.coords).all():
+            raise DimensionMismatch("coefficients have non-finite diag coordinates")
 
     @property
     def n(self):
@@ -132,7 +135,7 @@ class SolutionSet:
 def _cluster(g, tol):
     """The roots of g and their distinct-root clusters at tolerance tol."""
     rs = poly.roots(g)
-    return rs, poly.cluster_roots(rs, tol * poly.scale(g), tol, poly=g)
+    return rs, poly.cluster_roots(rs, tol * poly.scale(g), tol)
 
 
 def _tolerance_swing(g, rs, tol, count):

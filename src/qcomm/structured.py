@@ -3,10 +3,12 @@
 A weighted circulant carries nonzero weights on the superdiagonal and in the
 bottom-left corner; its characteristic polynomial is x^d - k with k the
 product of the weights, so a diagonal conjugation reduces it to a scalar
-multiple of the basic cyclic shift, which the DFT matrix diagonalizes. A
-companion matrix of a polynomial with distinct roots is diagonalized by the
-Vandermonde matrix in those roots. Both paths produce a QContext without
-running an eigensolver.
+multiple of the basic cyclic shift, which the DFT matrix diagonalizes. The
+same DFT matrix diagonalizes every circulant; a circulant's eigenvalues,
+its diagonal coordinates in that basis, are np.fft.fft of its first row.
+A companion matrix of a polynomial with distinct roots is diagonalized by
+the Vandermonde matrix in those roots. All three paths produce a QContext
+without running an eigensolver.
 """
 
 from dataclasses import dataclass
@@ -15,11 +17,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import DEFAULT_TOL, assemble_context
-from .errors import (
-    NotDistinctEigenvalues,
-    NumericalFailure,
-    ZeroWeight,
-)
+from .errors import NumericalFailure, ZeroWeight
 from .poly import from_roots
 
 
@@ -70,15 +68,14 @@ def dft_matrix(d):
     return np.exp(2j * np.pi * (np.outer(idx, idx) % d) / d) / np.sqrt(d)
 
 
-def _structured_context(q, eigs, T, T_inv, provenance, distinct_tol, resid_bound):
-    """Check the closed-form diagonalization, then assemble the context."""
-    T, T_inv = linalg.as_cmatrix(T), linalg.as_cmatrix(T_inv)
-    resid = linalg.frobenius(T_inv @ q @ T - np.diag(eigs))
+def _verified(ctx, resid_bound):
+    """ctx, once its closed-form diagonalization residual is within resid_bound."""
+    resid = linalg.frobenius(ctx.T_inv @ ctx.Q @ ctx.T - np.diag(ctx.eigenvalues))
     if resid > resid_bound:
         raise NumericalFailure(
             f"closed-form diagonalization residual {resid:.3e} exceeds {resid_bound:.3e}"
         )
-    return assemble_context(q, eigs, T, T_inv, distinct_tol, provenance)
+    return ctx
 
 
 def weighted_circulant_context(spec, distinct_tol=DEFAULT_TOL):
@@ -101,23 +98,10 @@ def weighted_circulant_context(spec, distinct_tol=DEFAULT_TOL):
     omega = np.exp(2j * np.pi / d)
     eigs = lam * omega ** (np.arange(d, 0, -1) % d)
     cond = float(np.max(np.abs(diag)) / np.min(np.abs(diag)))
-    return _structured_context(
-        weighted_circulant_matrix(spec), eigs, T, T_inv, "weighted-circulant",
-        distinct_tol, 1e-10 * (1.0 + abs(lam)) * max(1.0, cond),
+    ctx = assemble_context(
+        weighted_circulant_matrix(spec), eigs, T, T_inv, distinct_tol, "weighted-circulant"
     )
-
-
-def circulant_scalar_coeffs(a, i):
-    """Diag-coordinate i (1-based) of a circulant with first-row coefficients a.
-
-    Direct inverse-DFT-type sum: sum_j a[j-1] * omega^{-(i-1)(j-1)}; equals
-    the polynomial with coefficients a evaluated at omega^(d-i+1). The
-    exponents are reduced mod d, as in dft_matrix.
-    """
-    a = np.asarray(a, dtype=complex)
-    d = len(a)
-    j = np.arange(d)
-    return complex(np.sum(a * np.exp(-2j * np.pi * ((i - 1) * j % d) / d)))
+    return _verified(ctx, 1e-10 * (1.0 + abs(lam)) * max(1.0, cond))
 
 
 def circulant_context(a, distinct_tol=DEFAULT_TOL):
@@ -136,7 +120,8 @@ def circulant_context(a, distinct_tol=DEFAULT_TOL):
     T = F.conj().T
     eigs = np.fft.fft(a)
     scale = 1.0 + float(np.max(np.abs(eigs)))
-    return _structured_context(q, eigs, T, F, "circulant", distinct_tol, 1e-10 * scale * d)
+    ctx = assemble_context(q, eigs, T, F, distinct_tol, "circulant")
+    return _verified(ctx, 1e-10 * scale * d)
 
 
 def companion_matrix(coeffs):
@@ -159,16 +144,12 @@ def companion_context(lambdas, distinct_tol=DEFAULT_TOL):
     """
     lambdas = np.asarray(lambdas, dtype=complex)
     d = len(lambdas)
-    # Checked before inverting T: coincident nodes make T singular.
-    if not linalg.check_distinct(lambdas, distinct_tol)[0]:
-        raise NotDistinctEigenvalues("companion eigenvalues are not distinct")
     f = from_roots(lambdas)
     pi = companion_matrix(f.coeffs)
     T = np.vander(lambdas, increasing=True).T.astype(complex)
-    T_inv = linalg.inverse(T)
+    ctx = assemble_context(pi, lambdas, T, None, distinct_tol, "companion")
     lam_max = float(np.max(np.abs(lambdas)))
-    bound = 1e-9 * (1.0 + max(1.0, lam_max) ** d) * max(1.0, np.linalg.cond(T))
-    return _structured_context(pi, lambdas, T, T_inv, "companion", distinct_tol, bound)
+    return _verified(ctx, 1e-9 * (1.0 + max(1.0, lam_max) ** d) * max(1.0, np.linalg.cond(T)))
 
 
 __all__ = [
@@ -176,7 +157,6 @@ __all__ = [
     "weighted_circulant_matrix",
     "weighted_circulant_context",
     "dft_matrix",
-    "circulant_scalar_coeffs",
     "circulant_context",
     "companion_matrix",
     "companion_context",

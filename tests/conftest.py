@@ -40,7 +40,7 @@ def horner_residual(mats, x):
     return float(np.linalg.norm(acc))
 
 
-def single_linkage_reference(rs, tol_abs, tol_rel, poly=None):
+def single_linkage_reference(rs, tol_abs, tol_rel):
     """Clusters of rs by a flood fill that tests one pair of roots at a time:
     a reference that shares no code with poly.cluster_roots. Members are
     averaged in index order, and clusters sorted by (real, imag)."""
@@ -58,8 +58,7 @@ def single_linkage_reference(rs, tol_abs, tol_rel, poly=None):
                     comp.append(b)
                     frontier.append(b)
         members = np.array([rs[j] for j in sorted(comp)])
-        resid = max(abs(poly(z)) for z in members) if poly is not None else 0.0
-        clusters.append(qc.RootCluster(complex(members.mean()), len(members), resid))
+        clusters.append(qc.RootCluster(complex(members.mean()), len(members)))
     clusters.sort(key=lambda c: (c.representative.real, c.representative.imag))
     return clusters
 

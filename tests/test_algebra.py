@@ -6,6 +6,7 @@ from qcomm.errors import DimensionMismatch, NotDistinctEigenvalues, NotMember
 from qcomm.poly import Polynomial
 from qcomm.structured import (
     WeightedCirculantSpec,
+    circulant_context,
     weighted_circulant_context,
     weighted_circulant_matrix,
 )
@@ -77,6 +78,20 @@ def test_repr_poly_round_trip(rng):
         got = np.zeros(d, dtype=complex)
         got[: len(back.coeffs)] = back.coeffs
         assert np.max(np.abs(got - coeffs)) < 1e-8
+
+
+def test_repr_poly_badly_scaled_nodes(rng):
+    # Q = 200 * cyclic shift at d=8: the Vandermonde rows differ in scale by
+    # 200^7, yet the nodes are well separated and the circulant A with first
+    # row b is sum_k (b_k / 200^k) Q^k.
+    d = 8
+    b = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    a = circulant_context(b).Q
+    circ = circulant_context(200 * np.eye(d)[1])
+    for ctx in (circ, algebra.make_context(circ.Q)):
+        p = algebra.repr_poly(ctx, a)
+        assert np.max(np.abs(p.coeffs * 200.0 ** np.arange(d) - b)) < 1e-12
+        assert np.max(np.abs(algebra.from_repr_poly(ctx, p) - a)) < 1e-12
 
 
 def test_repr_poly_rejects_non_member(rng):
@@ -203,19 +218,3 @@ def test_membership_closure(rng):
         ctx = random_context(rng, d)
         p = Polynomial(rng.uniform(-2, 2, d) + 1j * rng.uniform(-2, 2, d))
         assert algebra.is_member(ctx, algebra.from_repr_poly(ctx, p), 1e-8)
-
-
-def test_vandermonde_solve_against_lu(rng):
-    for _ in range(20):
-        n = rng.integers(1, 8)
-        x = np.asarray(
-            [complex(v) for v in rng.uniform(-3, 3, n) + 1j * rng.uniform(-3, 3, n)]
-        )
-        if n > 1:
-            diff = np.abs(x[:, None] - x[None, :])
-            if np.min(diff[~np.eye(n, dtype=bool)]) < 0.1:
-                continue
-        b = rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
-        got = algebra.vandermonde_solve(x, b)
-        ref = np.linalg.solve(np.vander(x, increasing=True), b)
-        assert np.max(np.abs(got - ref)) < 1e-8 * max(1.0, np.max(np.abs(ref)))

@@ -39,7 +39,7 @@ def problem_doc(**overrides):
 
 def test_parse_complex_strict():
     assert problems.parse_complex([1.5, -2]) == 1.5 - 2j
-    for bad in (3, [1], [1, 2, 3], ["a", 1], None):
+    for bad in (3, [1], [1, 2, 3], ["a", 1], None, [float("nan"), 0], [1, float("inf")]):
         with pytest.raises(ParseError):
             problems.parse_complex(bad)
 
@@ -185,9 +185,9 @@ def test_near_member_coefficients_certified_as_given(tmp_path):
         tmp_path / "p.json",
         {
             "schema": "qcomm/1",
-            "q": {"matrix": problems.emit_matrix(ctx.Q)},
+            "q": {"matrix": problems.emit(ctx.Q)},
             "degree": 2,
-            "coefficients": [{"matrix": problems.emit_matrix(a)} for a in mats],
+            "coefficients": [{"matrix": problems.emit(a)} for a in mats],
         },
     )
     rc, out = run_cli(["solve", prob, "--json"])
@@ -248,6 +248,56 @@ def test_cli_diag(tmp_path):
     )
     rc, _ = run_cli(["diag", repeated])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    [
+        {"diag_coords": [[float("nan"), 0], [1, 0], [2, 0]]},
+        {"repr_poly": [[0, 0], [0, 0], [1e308, 0]]},  # overflows at eigenvalue 3
+    ],
+    ids=["nan", "overflow"],
+)
+def test_cli_non_finite_coefficient_exits_2(tmp_path, capsys, coeff):
+    doc = problem_doc(coefficients=[coeff, {"diag_coords": [[4, 0], [1, 0], [2, 0]]}])
+    rc, _ = run_cli(["solve", write_json(tmp_path / "p.json", doc)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        {"circulant": [[1e308, 0], [1e308, 0], [-1e308, 0]]},
+        {"weighted_circulant": [[1e200, 0], [1e200, 0], [1e200, 0]]},
+        {"companion_eigenvalues": [[1e200, 0], [-1e200, 0], [1, 0]]},
+    ],
+    ids=["circulant", "weighted_circulant", "companion"],
+)
+def test_cli_overflowing_context_exits_3(tmp_path, capsys, q):
+    rc, _ = run_cli(["diag", write_json(tmp_path / "q.json", {"schema": "qcomm/1", "q": q})])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "non-finite" in err
+
+
+def test_cli_defective_q_exits_3(tmp_path, capsys):
+    # A Jordan block has a singular eigenbasis; inverting it fails before
+    # the distinct-eigenvalue check runs.
+    q = {"matrix": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}
+    rc, _ = run_cli(["diag", write_json(tmp_path / "q.json", {"schema": "qcomm/1", "q": q})])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("cluster_tol", "abc"), ("residual_tol", "abc"), ("distinct_tol", [1]), ("cap", 1.5)],
+)
+def test_cli_bad_option_exits_2(tmp_path, capsys, key, value):
+    rc, _ = run_cli(["solve", write_json(tmp_path / "p.json", problem_doc(options={key: value}))])
+    assert rc == 2
+    assert repr(key) in capsys.readouterr().err
 
 
 def test_cli_malformed_input_exits_2(tmp_path):

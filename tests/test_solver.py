@@ -5,7 +5,7 @@ import pytest
 
 import qcomm as qc
 from qcomm import algebra, solver
-from qcomm.errors import EnumerationCapExceeded, NotMember
+from qcomm.errors import DimensionMismatch, EnumerationCapExceeded, NotMember
 from qcomm.poly import Polynomial
 
 from conftest import horner_residual, match_matrices, random_context
@@ -93,7 +93,8 @@ def test_input_form_independence(rng):
     as_vec = [u1, u2]
     as_mat = [algebra.from_diag_coords(ctx, u) for u in (u1, u2)]
     as_poly = [
-        Polynomial(algebra.vandermonde_solve(ctx.eigenvalues, u)) for u in (u1, u2)
+        Polynomial(np.linalg.solve(np.vander(ctx.eigenvalues, increasing=True), u))
+        for u in (u1, u2)
     ]
     sets = [
         solver.solve(solver.MatrixPolyEquation(ctx, c)).solutions
@@ -131,7 +132,7 @@ def test_diagonalizer_independence_double_root_needs_coarser_tol():
     q = qc.weighted_circulant_matrix(qc.WeightedCirculantSpec.from_weights([1, 1, 8]))
     ctx_gen = qc.make_context(q)
     vals = [
-        Polynomial(algebra.vandermonde_solve(eq_struct.ctx.eigenvalues, v))
+        Polynomial(np.linalg.solve(np.vander(eq_struct.ctx.eigenvalues, increasing=True), v))
         for v in PAPER_DIAG
     ]
     eq_gen = solver.MatrixPolyEquation(ctx_gen, vals)
@@ -221,6 +222,13 @@ def test_non_member_coefficient_rejected():
     bad[0, 1] = 1.0
     with pytest.raises(NotMember):
         solver.MatrixPolyEquation(ctx, [bad])
+
+
+def test_non_finite_coefficient_rejected():
+    ctx = qc.companion_context([1, 2, 3])
+    for c in (np.array([np.inf, 0, 0]), Polynomial([np.nan, 1])):
+        with pytest.raises(DimensionMismatch):
+            solver.MatrixPolyEquation(ctx, [c])
 
 
 def test_enumeration_cap(rng):

@@ -7,7 +7,6 @@ from qcomm.poly import Polynomial
 from qcomm.structured import (
     WeightedCirculantSpec,
     circulant_context,
-    circulant_scalar_coeffs,
     companion_context,
     companion_matrix,
     dft_matrix,
@@ -119,34 +118,15 @@ def test_structured_matches_generic_eigensolver(rng):
         assert match_values(ctx.eigenvalues, eigs) < 1e-8
 
 
-def test_circulant_scalar_coeffs_constant():
-    for i in range(1, 5):
-        assert circulant_scalar_coeffs([3.5 + 1j, 0, 0, 0], i) == pytest.approx(3.5 + 1j)
-
-
-def test_circulant_scalar_coeffs_linear():
-    omega = np.exp(2j * np.pi / 4)
-    got = circulant_scalar_coeffs([0, 1, 0, 0], 2)
-    assert got == pytest.approx(omega ** 3)
-
-
-def test_circulant_scalar_coeffs_matches_horner(rng):
+def test_circulant_context_eigenvalues_match_horner(rng):
     for d in range(2, 17):
         a = rng.uniform(-2, 2, d) + 1j * rng.uniform(-2, 2, d)
         p = Polynomial(a)
         omega = np.exp(2j * np.pi / d)
+        eigs = circulant_context(a).eigenvalues
         for i in range(1, d + 1):
-            direct = circulant_scalar_coeffs(a, i)
             horner = p(omega ** (d - i + 1))
-            assert abs(direct - horner) < 1e-12 * max(1.0, abs(horner))
-
-
-def test_circulant_scalar_coeffs_match_fft_at_large_d(rng):
-    d = 320
-    a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    f = np.fft.fft(a)
-    for i in range(1, d + 1):
-        assert abs(circulant_scalar_coeffs(a, i) - f[i - 1]) <= 1e-12 * abs(f[i - 1])
+            assert abs(eigs[i - 1] - horner) < 1e-12 * max(1.0, abs(horner))
 
 
 def test_circulant_context():
