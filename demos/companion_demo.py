@@ -21,7 +21,7 @@ eq = qc.MatrixPolyEquation(
     [np.array([-5, 2, -3], dtype=complex), np.array([4, 1, 2], dtype=complex)],
 )
 for i, g in enumerate(qc.build_scalar_polys(eq), start=1):
-    print(f"g_{i} coefficients (ascending):", np.round(g.coeffs.real, 10))
+    print(f"g_{i} coefficients (ascending):", np.round(g.real, 10))
 
 result = qc.solve(eq)
 print(f"\ncounts {tuple(result.counts)} -> total {result.total}")

@@ -28,7 +28,7 @@ print("representation polynomial of A:", qc.repr_poly(ctx, A))
 
 eq = qc.MatrixPolyEquation(ctx, [A, B])
 for i, g in enumerate(qc.build_scalar_polys(eq), start=1):
-    print(f"g_{i} coefficients (ascending):", np.round(g.coeffs, 10))
+    print(f"g_{i} coefficients (ascending):", np.round(g, 10))
 
 result = qc.solve(eq)
 print(f"\ndistinct-root counts {tuple(result.counts)} -> {result.total} solutions")

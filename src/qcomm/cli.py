@@ -24,7 +24,7 @@ def _fmt_c(z):
 
 
 def _fmt_poly(g):
-    return "[" + ", ".join(_fmt_c(c) for c in g.coeffs) + "]"
+    return "[" + ", ".join(_fmt_c(c) for c in g) + "]"
 
 
 def _print_matrix(m, out, indent="  "):
@@ -36,7 +36,7 @@ def _solution_set_doc(ctx, sol_set):
     return {
         "schema": problems.SCHEMA,
         "eigenvalues": problems.emit(ctx.eigenvalues),
-        "scalar_polys": [problems.emit(g.coeffs) for g in sol_set.scalar_polys],
+        "scalar_polys": problems.emit(sol_set.scalar_polys),
         "counts": sol_set.counts,
         "total": sol_set.total,
         "solutions": [
@@ -170,6 +170,17 @@ def cmd_diag(args, out):
     return EXIT_OK
 
 
+def _checked(key, convert):
+    """argparse type of a solve flag: convert() the text, then apply the
+    problem-file rule, whose ParseError argparse lets through to main."""
+
+    def value(text):
+        return problems.check_option(key, convert(text), "command line")
+
+    value.__name__ = convert.__name__  # argparse names it when convert() fails
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="qcomm",
@@ -180,9 +191,8 @@ def build_parser():
     sp = sub.add_parser("solve", help="solve a problem file")
     sp.add_argument("file")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--cluster-tol", dest="cluster_tol", type=float)
-    sp.add_argument("--residual-tol", dest="residual_tol", type=float)
-    sp.add_argument("--cap", type=int)
+    for key, convert in (("cluster_tol", float), ("residual_tol", float), ("cap", int)):
+        sp.add_argument("--" + key.replace("_", "-"), type=_checked(key, convert))
     sp.set_defaults(func=cmd_solve)
 
     cp = sub.add_parser("check", help="verify a candidate solution matrix")
@@ -210,15 +220,17 @@ def build_parser():
 
 def main(argv=None, out=None):
     out = sys.stdout if out is None else out
-    args = build_parser().parse_args(argv)
-    try:
-        return args.func(args, out)
-    except (NumericalFailure, SingularMatrix) as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return EXIT_NUMERICAL
-    except QcommError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
+    # overflow is reported by the exit-3 message, not by numpy warnings
+    with np.errstate(all="ignore"):
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args, out)
+        except (NumericalFailure, SingularMatrix) as exc:
+            sys.stderr.write(f"numerical failure: {exc}\n")
+            return EXIT_NUMERICAL
+        except QcommError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -38,17 +38,6 @@ class Polynomial:
             acc = acc * z + c
         return acc if acc.shape else complex(acc)
 
-    def derivative(self):
-        if len(self.coeffs) <= 1:
-            return Polynomial([])
-        j = np.arange(1, len(self.coeffs))
-        return Polynomial(self.coeffs[1:] * j)
-
-    def monic(self):
-        if self.degree < 0:
-            raise ZeroPolynomial("cannot normalize the zero polynomial")
-        return Polynomial(self.coeffs / self.coeffs[-1])
-
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)})"
 
@@ -61,38 +50,41 @@ def from_roots(rs):
     return Polynomial(coeffs)
 
 
-def scale(p):
-    """Coefficient-magnitude normalizer: max(1, max|c_j| / |leading|)."""
-    if p.degree < 0:
-        return 1.0
-    return max(1.0, float(np.max(np.abs(p.coeffs)) / abs(p.coeffs[-1])))
+def scale(c):
+    """Coefficient-magnitude normalizer of ascending coefficient rows with
+    nonzero leading coefficients: max(1, max|c_j| / |leading|) per row."""
+    c = np.asarray(c)
+    return np.maximum(1.0, np.abs(c).max(axis=-1) / np.abs(c[..., -1]))
+
+
+def stack_roots(asc):
+    """All n roots of each row of a (rows, n+1) stack of ascending
+    coefficients with nonzero leading coefficients, n >= 1: one
+    np.linalg.eigvals call on the (rows, n, n) companion stack, then one
+    Newton step with each row and its derivative evaluated by Horner."""
+    asc = np.asarray(asc, dtype=complex)
+    n = asc.shape[1] - 1
+    comp = np.zeros((len(asc), n, n), dtype=complex)
+    comp[:, 1:, :-1] = np.eye(n - 1)
+    comp[:, :, -1] = -(asc[:, :-1] / asc[:, -1:])
+    rs = np.linalg.eigvals(comp)
+    pv, dv = np.zeros_like(rs), np.zeros_like(rs)
+    for j in range(n, -1, -1):
+        pv = pv * rs + asc[:, j, None]
+        if j:
+            dv = dv * rs + asc[:, j, None] * j
+    safe = np.where(np.abs(dv) > 0, dv, 1.0)
+    return rs - np.where(np.abs(dv) > 0, pv / safe, 0.0)
 
 
 def roots(p):
-    """All ``degree(p)`` roots, counted with multiplicity.
-
-    Eigenvalues of the companion matrix, then one Newton polishing pass on
-    the original polynomial. Raises ZeroPolynomial / DegreeZero on
-    degenerate input, which in the solver pipeline signals a broken monic
-    scalar equation rather than a valid empty answer.
-    """
+    """All ``degree(p)`` roots of a Polynomial, counted with multiplicity, by
+    stack_roots; raises ZeroPolynomial / DegreeZero on degenerate input."""
     if p.degree < 0:
         raise ZeroPolynomial("zero polynomial has no well-defined root set")
     if p.degree == 0:
         raise DegreeZero("nonzero constant polynomial has no roots")
-    c = p.monic().coeffs
-    n = p.degree
-    comp = np.zeros((n, n), dtype=complex)
-    if n > 1:
-        comp[1:, :-1] = np.eye(n - 1)
-    comp[:, -1] = -c[:-1]
-    rs = np.linalg.eigvals(comp)
-    dp = p.derivative()
-    pv = p(rs)
-    dv = dp(rs)
-    safe = np.where(np.abs(dv) > 0, dv, 1.0)
-    step = np.where(np.abs(dv) > 0, pv / safe, 0.0)
-    return rs - step
+    return stack_roots(p.coeffs[None])[0]
 
 
 @dataclass
@@ -114,28 +106,34 @@ def cluster_roots(rs, tol_abs, tol_rel):
     shorter than tol_abs + tol_rel * max(|r1|, |r2|). Clusters are sorted
     by (real, imag) of their representative, so output order does not
     depend on input order.
+
+    rs is one root vector, giving one cluster list, or a (rows, m) stack
+    with one tol_abs per row (or one for all), giving one list per row.
     """
     rs = np.asarray(rs, dtype=complex)
-    m = len(rs)
+    if rs.ndim == 1:
+        return cluster_roots(rs[None], tol_abs, tol_rel)[0]
+    m = rs.shape[1]
     mag = np.abs(rs)
-    near = np.abs(rs[:, None] - rs) <= tol_abs + tol_rel * np.maximum(mag[:, None], mag)
-    np.fill_diagonal(near, True)
+    reach = np.reshape(tol_abs, (-1, 1, 1)) + tol_rel * np.maximum(mag[:, :, None], mag[:, None])
+    near = np.abs(rs[:, :, None] - rs[:, None]) <= reach
+    near[:, np.arange(m), np.arange(m)] = True
     # Each root takes the smallest label among its neighbours until nothing
     # moves; every root then carries the smallest index of its component.
     # (initial=m only matters when there are no roots.)
     labels = np.arange(m)
     while True:
-        spread = np.where(near, labels, m).min(axis=1, initial=m)
+        spread = np.where(near, labels[..., None, :], m).min(axis=-1, initial=m)
         if (spread == labels).all():
             break
         labels = spread
-    groups = {}
-    for i, head in enumerate(labels.tolist()):
-        groups.setdefault(head, []).append(i)
-    clusters = []
-    for members in groups.values():
+    out = []
+    for row, heads in zip(rs, np.broadcast_to(labels, rs.shape).tolist()):
+        groups = {}
+        for i, head in enumerate(heads):
+            groups.setdefault(head, []).append(i)
         # np.mean's own arithmetic, without its call overhead
-        rep = complex(rs[members].sum() / len(members))
-        clusters.append(RootCluster(rep, len(members)))
-    clusters.sort(key=lambda c: (c.representative.real, c.representative.imag))
-    return clusters
+        clusters = [RootCluster(complex(row[g].sum() / len(g)), len(g)) for g in groups.values()]
+        clusters.sort(key=lambda c: (c.representative.real, c.representative.imag))
+        out.append(clusters)
+    return out

@@ -20,15 +20,19 @@ SCHEMA = "qcomm/1"
 
 Q_VARIANTS = ("matrix", "weighted_circulant", "circulant", "companion_eigenvalues")
 COEFF_VARIANTS = ("matrix", "repr_poly", "diag_coords")
-TOLERANCE_OPTIONS = ("cluster_tol", "residual_tol", "distinct_tol")
+OPTIONS = ("cluster_tol", "residual_tol", "distinct_tol", "cap")
+
+
+def _finite(x):
+    """Whether x is a number (int or float, not bool) with a finite float value."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an integer past the float range
+        return False
 
 
 def parse_complex(v, where="value"):
-    if (
-        not isinstance(v, (list, tuple))
-        or len(v) != 2
-        or not all(isinstance(x, (int, float)) and math.isfinite(x) for x in v)
-    ):
+    if not isinstance(v, (list, tuple)) or len(v) != 2 or not all(map(_finite, v)):
         raise ParseError(
             f"{where}: complex scalar must be a two-element [re, im] array of finite numbers"
         )
@@ -115,26 +119,31 @@ def load_problem(path):
     return parse_problem(load_json(path), path)
 
 
-def parse_problem(doc, path="<problem>"):
-    """(QContext, coefficient list, options dict) of a problem document.
+def check_option(key, v, where="options"):
+    """v, checked as the value of option key, from a problem file or the
+    command line: the tolerances cluster_tol, residual_tol and distinct_tol
+    must be finite non-negative numbers, and cap a positive integer; a bad
+    value raises ParseError naming its key."""
+    if key == "cap":
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise ParseError(f"{where}: option 'cap' must be a positive integer")
+    elif not (_finite(v) and v >= 0):
+        raise ParseError(f"{where}: option {key!r} must be a finite non-negative number")
+    return v
 
-    The options it knows are checked here: the tolerances cluster_tol,
-    residual_tol and distinct_tol must be finite non-negative numbers, and
-    cap a positive integer; a bad value raises ParseError naming its key.
-    """
+
+def parse_problem(doc, path="<problem>"):
+    """(QContext, coefficient list, options dict) of a problem document,
+    its known options checked by check_option."""
     _check_schema(doc, path)
     if "q" not in doc:
         raise ParseError(f"{path}: missing 'q'")
     opts = doc.get("options", {})
     if not isinstance(opts, dict):
         raise ParseError(f"{path}: 'options' must be an object")
-    for key in TOLERANCE_OPTIONS:
-        v = opts.get(key, 0.0)
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 <= v < math.inf:
-            raise ParseError(f"{path}: option {key!r} must be a finite non-negative number")
-    cap = opts.get("cap", 1)
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise ParseError(f"{path}: option 'cap' must be a positive integer")
+    for key in OPTIONS:
+        if key in opts:
+            check_option(key, opts[key], path)
     ctx = context_from_q_spec(
         doc["q"], opts.get("distinct_tol", algebra.DEFAULT_TOL), f"{path}:q"
     )

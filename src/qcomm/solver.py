@@ -14,14 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra, linalg, poly
-from .errors import DimensionMismatch, EnumerationCapExceeded
+from .errors import DegreeZero, DimensionMismatch, EnumerationCapExceeded
 
 DEFAULT_RESIDUAL_TOL = 1e-9
 DEFAULT_ENUMERATION_CAP = 10 ** 6
-# Complex entries per stacked temporary in solve (512 KiB each). Chunk rows
-# are derived from it, so the working set is bounded at any d; the few
-# temporaries of one Horner step then stay within a 2-4 MiB L2 cache, and
-# 4x larger chunks were 25-40% slower at d=7.
+# Complex entries per stacked temporary (512 KiB each): (rows, d, d) solution
+# candidates, (rows, n, n) companion and distance stacks. Block rows follow
+# from it, so the working set is bounded at any d and n; the temporaries of
+# one Horner step stay within a 2-4 MiB L2, and 4x larger was 25-40% slower.
 _CHUNK_ENTRIES = 1 << 15
 
 
@@ -43,6 +43,8 @@ class MatrixPolyEquation:
     """
 
     def __init__(self, ctx, coeffs):
+        if len(coeffs) == 0:
+            raise DegreeZero("an equation needs at least one coefficient (degree n >= 1)")
         self.ctx = ctx
         d = ctx.d
         self.coords = np.empty((len(coeffs), d), dtype=complex)
@@ -99,11 +101,12 @@ class MatrixPolyEquation:
 
 
 def build_scalar_polys(eq):
-    """The d monic degree-n scalar polynomials, one per eigenvalue."""
+    """The d monic degree-n scalar polynomials g_i, one per eigenvalue, as a
+    (d, n+1) array whose row i holds the ascending coefficients of g_i."""
     n, d = eq.coords.shape
     asc = np.ones((d, n + 1), dtype=complex)
     asc[:, :n] = eq.coords[::-1].T
-    return [poly.Polynomial(row) for row in asc]
+    return asc
 
 
 def verify_solution(eq, x):
@@ -124,7 +127,7 @@ class Solution:
 
 @dataclass
 class SolutionSet:
-    scalar_polys: list
+    scalar_polys: np.ndarray
     distinct_roots: list
     counts: list
     total: int
@@ -132,20 +135,22 @@ class SolutionSet:
     warnings: list = field(default_factory=list)
 
 
-def _cluster(g, tol):
-    """The roots of g and their distinct-root clusters at tolerance tol."""
-    rs = poly.roots(g)
-    return rs, poly.cluster_roots(rs, tol * poly.scale(g), tol)
-
-
-def _tolerance_swing(g, rs, tol, count):
-    """(merged, split) counts of the roots rs at 4x and 1/4 of tol, or None
-    when both equal count; a count that moves sits on the numerical knife
-    edge."""
-    s = poly.scale(g)
-    lo = len(poly.cluster_roots(rs, tol * s / 4, tol / 4))
-    hi = len(poly.cluster_roots(rs, tol * s * 4, tol * 4))
-    return None if lo == hi == count else (hi, lo)
+def _clustered(asc, cluster_tol, factors):
+    """For tol = cluster_tol (algebra.DEFAULT_TOL if None) times each of
+    factors, the distinct-root clusters of every row of asc: one
+    poly.stack_roots call per block of rows, and one poly.cluster_roots call
+    per block and tolerance."""
+    tol = algebra.DEFAULT_TOL if cluster_tol is None else cluster_tol
+    tols = [tol * f for f in factors]
+    d, n = asc.shape[0], asc.shape[1] - 1
+    rows = max(1, _CHUNK_ENTRIES // n ** 2)
+    out = [[] for _ in tols]
+    for start in range(0, d, rows):
+        block = asc[start : start + rows]
+        rs, s = poly.stack_roots(block), poly.scale(block)
+        for clusters, tol in zip(out, tols):
+            clusters.extend(poly.cluster_roots(rs, tol * s, tol))
+    return out
 
 
 def _mixed_radix(flat, counts):
@@ -163,8 +168,7 @@ def _mixed_radix(flat, counts):
 
 def count_solutions(eq, cluster_tol=None):
     """Per-index distinct-root counts and their product."""
-    tol = algebra.DEFAULT_TOL if cluster_tol is None else cluster_tol
-    counts = [len(_cluster(g, tol)[1]) for g in build_scalar_polys(eq)]
+    counts = [len(c) for c in _clustered(build_scalar_polys(eq), cluster_tol, [1])[0]]
     return counts, math.prod(counts)
 
 
@@ -184,20 +188,17 @@ def solve(
     and checked by one eq.certify call. Residuals over the bound are
     reported in warnings, never dropped.
     """
-    tol = algebra.DEFAULT_TOL if cluster_tol is None else cluster_tol
     gs = build_scalar_polys(eq)
-    all_clusters = []
+    # a count that moves at 4x or 1/4 of tol sits on the numerical knife edge
+    all_clusters, merged, split = _clustered(gs, cluster_tol, [1, 4, 1 / 4])
+    counts = [len(c) for c in all_clusters]
     warnings_out = list(eq.ctx.warnings)
-    for i, g in enumerate(gs):
-        rs, clusters = _cluster(g, tol)
-        flag = _tolerance_swing(g, rs, tol, len(clusters))
-        if flag is not None:
+    for i, (count, hi, lo) in enumerate(zip(counts, merged, split)):
+        if not len(hi) == len(lo) == count:
             warnings_out.append(
                 f"g_{i + 1}: distinct-root count is tolerance-sensitive "
-                f"(merged {flag[0]}, split {flag[1]}, using {len(clusters)})"
+                f"(merged {len(hi)}, split {len(lo)}, using {count})"
             )
-        all_clusters.append(clusters)
-    counts = [len(c) for c in all_clusters]
     total = math.prod(counts)
     if total > enumeration_cap and not truncate:
         raise EnumerationCapExceeded(
@@ -217,7 +218,7 @@ def solve(
         xs = algebra.from_diag_coords(eq.ctx, us)
         resids, bounds = eq.certify(xs, residual_tol)
         keys = [tuple(row) for row in idx.tolist()]
-        for j in np.nonzero(resids > bounds)[0]:
+        for j in np.nonzero(~(resids <= bounds))[0]:
             warnings_out.append(
                 f"solution {keys[j]}: residual {resids[j]:.3e} exceeds {bounds[j]:.3e}"
             )

@@ -63,6 +63,34 @@ def single_linkage_reference(rs, tol_abs, tol_rel):
     return clusters
 
 
+def per_polynomial_reference(asc, tol):
+    """(clusters, swing) of each row of asc at cluster tolerance tol, one
+    polynomial at a time: a reference that shares no code with
+    poly.stack_roots or poly.cluster_roots. Roots are the eigenvalues of one
+    2-D companion matrix per row, polished by one Newton step evaluated with
+    Polynomial.__call__, then clustered by single_linkage_reference; swing
+    is None, or the (merged, split) counts at 4x and 1/4 of tol when either
+    differs from the count at tol."""
+    out = []
+    for row in asc:
+        p = qc.Polynomial(row)
+        n = p.degree
+        comp = np.zeros((n, n), dtype=complex)
+        comp[1:, :-1] = np.eye(n - 1)
+        comp[:, -1] = -(p.coeffs[:-1] / p.coeffs[-1])
+        rs = np.linalg.eigvals(comp)
+        pv = p(rs)
+        dv = qc.Polynomial(p.coeffs[1:] * np.arange(1, n + 1))(rs)
+        rs = rs - np.where(np.abs(dv) > 0, pv / np.where(np.abs(dv) > 0, dv, 1.0), 0.0)
+        s = max(1.0, float(np.max(np.abs(p.coeffs)) / abs(p.coeffs[-1])))
+        clusters = single_linkage_reference(rs, tol * s, tol)
+        merged = len(single_linkage_reference(rs, tol * s * 4, tol * 4))
+        split = len(single_linkage_reference(rs, tol * s / 4, tol / 4))
+        swing = None if merged == split == len(clusters) else (merged, split)
+        out.append((clusters, swing))
+    return out
+
+
 def match_matrices(xs, ys):
     """Max Frobenius distance under the optimal pairing of two equal-size sets."""
     assert len(xs) == len(ys)

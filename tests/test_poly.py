@@ -70,7 +70,7 @@ def test_roots_residual_small(rng):
         c = rng.uniform(-3, 3, deg + 1) + 1j * rng.uniform(-3, 3, deg + 1)
         c[-1] = 1.0
         p = Polynomial(c)
-        resid = np.max(np.abs(p(roots(p)))) / scale(p)
+        resid = np.max(np.abs(p(roots(p)))) / scale(p.coeffs)
         assert resid < 1e-8
 
 
@@ -107,7 +107,7 @@ def test_cluster_multiplicities_sum_to_degree(rng):
     for _ in range(30):
         deg = rng.integers(1, 9)
         p = from_roots(rng.uniform(-2, 2, deg) + 1j * rng.uniform(-2, 2, deg))
-        clusters = cluster_roots(roots(p), 1e-8 * scale(p), 1e-8)
+        clusters = cluster_roots(roots(p), 1e-8 * scale(p.coeffs), 1e-8)
         assert sum(c.multiplicity for c in clusters) == deg
 
 
@@ -148,7 +148,7 @@ def test_root_product_reconstruction(rng):
     for _ in range(20):
         deg = rng.integers(1, 7)
         p = from_roots(random_separated(rng, deg))
-        clusters = cluster_roots(roots(p), 1e-8 * scale(p), 1e-8)
+        clusters = cluster_roots(roots(p), 1e-8 * scale(p.coeffs), 1e-8)
         reps = []
         for c in clusters:
             reps.extend([c.representative] * c.multiplicity)

@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +40,10 @@ def problem_doc(**overrides):
 
 def test_parse_complex_strict():
     assert problems.parse_complex([1.5, -2]) == 1.5 - 2j
-    for bad in (3, [1], [1, 2, 3], ["a", 1], None, [float("nan"), 0], [1, float("inf")]):
+    for bad in (
+        3, [1], [1, 2, 3], ["a", 1], None, [float("nan"), 0], [1, float("inf")],
+        [10**400, 0], [True, 0],
+    ):
         with pytest.raises(ParseError):
             problems.parse_complex(bad)
 
@@ -275,7 +279,10 @@ def test_cli_non_finite_coefficient_exits_2(tmp_path, capsys, coeff):
     ids=["circulant", "weighted_circulant", "companion"],
 )
 def test_cli_overflowing_context_exits_3(tmp_path, capsys, q):
-    rc, _ = run_cli(["diag", write_json(tmp_path / "q.json", {"schema": "qcomm/1", "q": q})])
+    path = write_json(tmp_path / "q.json", {"schema": "qcomm/1", "q": q})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, _ = run_cli(["diag", path])
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and "non-finite" in err
@@ -292,11 +299,29 @@ def test_cli_defective_q_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("cluster_tol", "abc"), ("residual_tol", "abc"), ("distinct_tol", [1]), ("cap", 1.5)],
+    [
+        ("cluster_tol", "abc"),
+        ("residual_tol", "abc"),
+        ("distinct_tol", [1]),
+        ("cap", 1.5),
+        pytest.param("residual_tol", 10**400, id="residual_tol-int-past-float-range"),
+        # the same rule on the command line: these once solved with exit 0
+        ("--cluster-tol", "-1"),
+        ("--cluster-tol", "nan"),
+        ("--residual-tol", "nan"),
+        ("--residual-tol", "inf"),
+        ("--cap", "0"),
+    ],
 )
 def test_cli_bad_option_exits_2(tmp_path, capsys, key, value):
-    rc, _ = run_cli(["solve", write_json(tmp_path / "p.json", problem_doc(options={key: value}))])
+    if key.startswith("--"):
+        path = write_json(tmp_path / "p.json", problem_doc())
+        rc, out = run_cli(["solve", path, key, value])
+        key = key[2:].replace("-", "_")
+    else:
+        rc, out = run_cli(["solve", write_json(tmp_path / "p.json", problem_doc(options={key: value}))])
     assert rc == 2
+    assert out == ""
     assert repr(key) in capsys.readouterr().err
 
 

@@ -5,10 +5,10 @@ import pytest
 
 import qcomm as qc
 from qcomm import algebra, solver
-from qcomm.errors import DimensionMismatch, EnumerationCapExceeded, NotMember
+from qcomm.errors import DegreeZero, DimensionMismatch, EnumerationCapExceeded, NotMember
 from qcomm.poly import Polynomial
 
-from conftest import horner_residual, match_matrices, random_context
+from conftest import horner_residual, match_matrices, per_polynomial_reference, random_context
 
 PAPER_DIAG = [np.array([-5, 2, -3], dtype=complex), np.array([4, 1, 2], dtype=complex)]
 
@@ -27,9 +27,9 @@ def paper32_eq():
 def test_build_scalar_polys_paper():
     for eq in (paper31_eq(), paper32_eq()):
         gs = solver.build_scalar_polys(eq)
-        assert np.max(np.abs(gs[0].coeffs - [4, -5, 1])) < 1e-10
-        assert np.max(np.abs(gs[1].coeffs - [1, 2, 1])) < 1e-10
-        assert np.max(np.abs(gs[2].coeffs - [2, -3, 1])) < 1e-10
+        assert np.max(np.abs(gs[0] - [4, -5, 1])) < 1e-10
+        assert np.max(np.abs(gs[1] - [1, 2, 1])) < 1e-10
+        assert np.max(np.abs(gs[2] - [2, -3, 1])) < 1e-10
 
 
 def test_build_scalar_polys_zero_coefficients(rng):
@@ -37,8 +37,8 @@ def test_build_scalar_polys_zero_coefficients(rng):
     z = np.zeros((3, 3), dtype=complex)
     eq = solver.MatrixPolyEquation(ctx, [z, z, z])
     for g in solver.build_scalar_polys(eq):
-        assert g.degree == 3
-        assert np.max(np.abs(g.coeffs[:3])) < 1e-12
+        assert len(g) == 4 and g[-1] != 0  # degree 3
+        assert np.max(np.abs(g[:3])) < 1e-12
 
 
 def test_solve_paper31():
@@ -294,10 +294,10 @@ def test_cluster_passes_per_polynomial(monkeypatch):
     monkeypatch.setattr(solver.poly, "cluster_roots", counted)
     eq = paper31_eq()
     solver.count_solutions(eq)
-    assert len(calls) == eq.ctx.d
+    assert len(calls) == 1
     calls.clear()
     ss = solver.solve(eq)
-    assert len(calls) == 3 * eq.ctx.d
+    assert len(calls) == 3
     # the 4x swing check still runs in solve: g_2's double root is flagged
     assert any("tolerance-sensitive" in w for w in ss.warnings)
 
@@ -318,3 +318,102 @@ def test_solutions_enumerated_lexicographically():
         (1, 0, 0),
         (1, 0, 1),
     ]
+
+
+def planted_coords(rng, d, n, bases):
+    """(n, d) diag coordinates of d monic degree-n polynomials whose roots
+    are drawn from `bases` random values each, so most have repeated or
+    near-coincident roots."""
+    coords = np.empty((n, d), dtype=complex)
+    for i in range(d):
+        base = rng.uniform(-2, 2, bases) + 1j * rng.uniform(-2, 2, bases)
+        rs = base[rng.integers(0, bases, n)]
+        near = rng.random(n) < 0.3
+        rs[near] += 10.0 ** rng.integers(-9, -2, near.sum()) * np.exp(2j * np.pi * rng.random(near.sum()))
+        g = qc.from_roots(rs)
+        coords[:, i] = g.coeffs[n - 1 :: -1]
+    return coords
+
+
+def scalar_layer(ss):
+    """Everything solve derives from the scalar layer, as exact values."""
+    return (
+        ss.counts,
+        [[(c.representative, c.multiplicity) for c in cs] for cs in ss.distinct_roots],
+        [w for w in ss.warnings if "tolerance-sensitive" in w],
+        [(s.indices, s.u.tolist()) for s in ss.solutions],
+    )
+
+
+def test_stacked_scalar_layer_matches_per_polynomial_reference():
+    # 300+ planted polynomials, d 1..8 and n 1..8, at three tolerances:
+    # counts, representatives, swing warnings and solution order are
+    # bit-identical to the one-polynomial-at-a-time reference
+    rng = np.random.default_rng(20261018)
+    polys = 0
+    while polys < 300:
+        d, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        ctx = qc.circulant_context(np.arange(1, d + 1))
+        eq = solver.MatrixPolyEquation(ctx, list(planted_coords(rng, d, n, rng.integers(1, n + 1))))
+        asc = solver.build_scalar_polys(eq)
+        polys += d
+        for tol in (1e-8, 1e-6, 1e-3):
+            ref = per_polynomial_reference(asc, tol)
+            reps = [[c.representative for c in cs] for cs, _ in ref]
+            expected = (
+                [len(cs) for cs, _ in ref],
+                [[(c.representative, c.multiplicity) for c in cs] for cs, _ in ref],
+                [
+                    f"g_{i + 1}: distinct-root count is tolerance-sensitive "
+                    f"(merged {swing[0]}, split {swing[1]}, using {len(cs)})"
+                    for i, (cs, swing) in enumerate(ref)
+                    if swing is not None
+                ],
+                [
+                    (idx, [reps[i][j] for i, j in enumerate(idx)])
+                    for idx in itertools.islice(itertools.product(*map(range, map(len, reps))), 50)
+                ],
+            )
+            ss = solver.solve(eq, cluster_tol=tol, enumeration_cap=50, truncate=True)
+            assert scalar_layer(ss) == expected
+            assert solver.count_solutions(eq, tol)[0] == expected[0]
+
+
+def test_scalar_blocks_of_one_row_match_one_block(monkeypatch):
+    # at n=200 a (n, n) stack fills more than _CHUNK_ENTRIES, so each block
+    # holds one row; one block for all rows gives the same bits
+    rng = np.random.default_rng(5)
+    d, n = 3, 200
+    coords = np.empty((n, d), dtype=complex)
+    for i in range(d):
+        rs = np.exp(2j * np.pi * rng.random(n))
+        rs[: 10 * i] = rs[10 * i : 20 * i]  # 0, 10 and 20 double roots
+        coords[:, i] = qc.from_roots(rs).coeffs[n - 1 :: -1]
+    eq = solver.MatrixPolyEquation(qc.circulant_context(np.arange(1, d + 1)), list(coords))
+    calls = []
+    stack_roots = solver.poly.stack_roots
+
+    def counted(asc):
+        calls.append(len(asc))
+        return stack_roots(asc)
+
+    monkeypatch.setattr(solver.poly, "stack_roots", counted)
+    results = []
+    for entries in (solver._CHUNK_ENTRIES, d * n * n):
+        monkeypatch.setattr(solver, "_CHUNK_ENTRIES", entries)
+        calls.clear()
+        ss = solver.solve(eq, enumeration_cap=20, truncate=True)
+        results.append((scalar_layer(ss), solver.count_solutions(eq)))
+        assert calls == ([1] * (2 * d) if entries < n * n else [d, d])
+    assert results[0] == results[1]
+
+
+def test_equation_without_coefficients_raises_degree_zero():
+    with pytest.raises(DegreeZero):
+        solver.MatrixPolyEquation(qc.companion_context([1, 2, 3]), [])
+
+
+def test_nan_residual_tol_flags_every_solution():
+    ss = solver.solve(paper31_eq(), residual_tol=float("nan"))
+    flagged = [w for w in ss.warnings if w.startswith("solution ")]
+    assert len(flagged) == len(ss.solutions) == 4
