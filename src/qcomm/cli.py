@@ -10,61 +10,92 @@ import sys
 
 import numpy as np
 
-from . import algebra, linalg, problems, solver
+from . import algebra, errors, linalg, problems, solver
 from .errors import NotMember, NumericalFailure, ParseError, QcommError, SingularMatrix
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
+_ENTRY = "%+.12g%+.12gj"  # one complex number of a text report
+_HOLE, _LIST = "\0hole", "\0list"  # _write_json's skeleton leaves; no report string has a NUL
+
 
 def _fmt_c(z):
-    z = complex(z)
-    return f"{z.real:+.12g}{z.imag:+.12g}j"
+    return _ENTRY % (z.real, z.imag)
 
 
-def _fmt_poly(g):
-    return "[" + ", ".join(_fmt_c(c) for c in g) + "]"
+def _row_template(d):
+    return "  [" + ", ".join([_ENTRY] * d) + "]\n"
 
 
-def _print_matrix(m, out, indent="  "):
-    for row in np.asarray(m):
-        out.write(indent + "[" + ", ".join(_fmt_c(z) for z in row) + "]\n")
+def _floats(a):
+    """The floats of problems.emit(a) in its order, one row per item of a."""
+    return np.stack((a.real, a.imag), -1).reshape(len(a), -1)
 
 
-def _solution_set_doc(ctx, sol_set):
-    return {
-        "schema": problems.SCHEMA,
-        "eigenvalues": problems.emit(ctx.eigenvalues),
-        "scalar_polys": problems.emit(sol_set.scalar_polys),
-        "counts": sol_set.counts,
-        "total": sol_set.total,
-        "solutions": [
-            {
-                "indices": list(s.indices),
-                "u": problems.emit(s.u),
-                "matrix": problems.emit(s.X),
-                "residual": s.residual,
-            }
-            for s in sol_set.solutions
-        ],
-        "warnings": sol_set.warnings,
-    }
+def _json_numbers(block):
+    """json.dump's text of each number in block, from the C encoder, which indent turns off."""
+    return json.dumps(block.ravel().tolist())[1:-1].split(", ")
+
+
+def _write_json(out, doc, lists):
+    """Write json.dump(doc, out, indent=2)'s text, filling the k-th [_LIST] in doc (a top-level
+    value) from lists[k] = (skeleton of one item, blocks: arrays with one item per row)."""
+    parts = json.dumps(doc, indent=2).split(json.dumps(_LIST))
+    head, sep, foot = json.dumps({"": [_LIST] * 2}, indent=2).split(json.dumps(_LIST))
+    for part, (item, blocks) in zip(parts, lists):
+        out.write(part)
+        text = json.dumps({"": [item]}, indent=2)[len(head) : -len(foot)]
+        template = text.replace(json.dumps(_HOLE), "%s")  # item keys hold no "%"
+
+        def fill(numbers):
+            return sep.join([template] * (len(numbers) // template.count("%s"))) % tuple(numbers)
+
+        # map() lets go of each array, then of its numbers, before the next step
+        for k, filled in enumerate(map(fill, map(_json_numbers, blocks))):
+            out.write(sep if k else "")
+            out.write(filled)
+    out.write(parts[-1] + "\n")
+
+
+def _solution_blocks(solutions, d):
+    """solutions in solve's blocks, with their u and X floats and residuals."""
+    rows = max(1, solver._CHUNK_ENTRIES // d ** 2)
+    for b in (solutions[start : start + rows] for start in range(0, len(solutions), rows)):
+        us, xs = (_floats(np.array([getattr(s, k) for s in b])) for k in ("u", "X"))
+        yield b, us, xs, np.array([s.residual for s in b])[:, None]
 
 
 def _report_solution_set(ctx, sol_set, as_json, out):
+    d, blocks = ctx.d, _solution_blocks(sol_set.solutions, ctx.d)
     if as_json:
-        json.dump(_solution_set_doc(ctx, sol_set), out, indent=2)
-        out.write("\n")
-        return
-    out.write("eigenvalues: " + ", ".join(_fmt_c(z) for z in ctx.eigenvalues) + "\n")
+        doc = {
+            "schema": problems.SCHEMA,
+            "eigenvalues": problems.emit(ctx.eigenvalues),
+            "scalar_polys": problems.emit(sol_set.scalar_polys),
+            "counts": sol_set.counts,
+            "total": sol_set.total,
+            "solutions": [_LIST],
+            "warnings": sol_set.warnings,
+        }
+        u = [[_HOLE] * 2] * d  # skeleton of problems.emit of d complex numbers
+        item = {"indices": [_HOLE] * d, "u": u, "matrix": [u] * d, "residual": _HOLE}
+        arrays = (
+            np.concatenate([[s.indices for s in b], us, xs, r], axis=1, dtype=object)
+            for b, us, xs, r in blocks
+        )
+        return _write_json(out, doc, [(item, arrays)])
+    out.write("eigenvalues: " + ", ".join(map(_fmt_c, ctx.eigenvalues)) + "\n")
     for i, g in enumerate(sol_set.scalar_polys):
-        out.write(f"g_{i + 1} coeffs (ascending): {_fmt_poly(g)}\n")
+        out.write(f"g_{i + 1} coeffs (ascending): [{', '.join(map(_fmt_c, g))}]\n")
     out.write(f"distinct-root counts: {tuple(sol_set.counts)}\n")
     out.write(f"total solutions: {sol_set.total}\n")
-    for s in sol_set.solutions:
-        out.write(f"solution {s.indices}  residual {s.residual:.3e}\n")
-        _print_matrix(s.X, out)
+    template = "solution %s  residual %.3e\n" + _row_template(d) * d
+    for b, _, xs, r in blocks:
+        idx = np.array([str(s.indices) for s in b], dtype=object)[:, None]
+        cells = np.concatenate([idx, r, xs], axis=1, dtype=object).ravel().tolist()
+        out.write(template * len(b) % tuple(cells))
     for w in sol_set.warnings:
         sys.stderr.write(f"warning: {w}\n")
 
@@ -75,19 +106,20 @@ def _solve_opts(args, opts):
         "residual_tol": opts.get("residual_tol", solver.DEFAULT_RESIDUAL_TOL),
         "enumeration_cap": opts.get("cap", solver.DEFAULT_ENUMERATION_CAP),
     }
-    if getattr(args, "cluster_tol", None) is not None:
-        merged["cluster_tol"] = args.cluster_tol
-    if getattr(args, "residual_tol", None) is not None:
-        merged["residual_tol"] = args.residual_tol
-    if getattr(args, "cap", None) is not None:
-        merged["enumeration_cap"] = args.cap
+    for flag, key in zip(("cluster_tol", "residual_tol", "cap"), merged):
+        if getattr(args, flag, None) is not None:
+            merged[key] = getattr(args, flag)
     return merged
 
 
 def _solve_problem(args, problem, out):
     ctx, coeffs, opts = problem
     eq = solver.MatrixPolyEquation(ctx, coeffs)
-    sol_set = solver.solve(eq, **_solve_opts(args, opts))
+    try:
+        sol_set = solver.solve(eq, **_solve_opts(args, opts))
+    except errors.EnumerationCapExceeded as exc:
+        count = str(exc).split(";")[0]  # "N solutions exceed cap C"
+        raise errors.EnumerationCapExceeded(f"{count}; raise --cap or the problem's options.cap")
     _report_solution_set(ctx, sol_set, args.json, out)
     return EXIT_OK
 
@@ -144,29 +176,25 @@ def cmd_diag(args, out):
     ctx = _load_q_context(args.qfile)
     verify = linalg.frobenius(ctx.T_inv @ ctx.Q @ ctx.T - np.diag(ctx.eigenvalues))
     if args.json:
-        json.dump(
-            {
-                "schema": problems.SCHEMA,
-                "provenance": ctx.provenance,
-                "eigenvalues": problems.emit(ctx.eigenvalues),
-                "cond_T": ctx.cond_T,
-                "min_gap": ctx.min_gap,
-                "verification_residual": verify,
-                "T": problems.emit(ctx.T),
-                "T_inv": problems.emit(ctx.T_inv),
-            },
-            out,
-            indent=2,
-        )
-        out.write("\n")
+        doc = {
+            "schema": problems.SCHEMA,
+            "provenance": ctx.provenance,
+            "eigenvalues": problems.emit(ctx.eigenvalues),
+            "cond_T": ctx.cond_T,
+            "min_gap": ctx.min_gap,
+            "verification_residual": verify,
+            "T": [_LIST],
+            "T_inv": [_LIST],
+        }
+        row, k = [[_HOLE] * 2] * ctx.d, -(-ctx.d ** 2 // solver._CHUNK_ENTRIES)
+        _write_json(out, doc, [(row, np.array_split(_floats(m), k)) for m in (ctx.T, ctx.T_inv)])
         return EXIT_OK
     out.write(f"provenance: {ctx.provenance}\n")
-    out.write("eigenvalues: " + ", ".join(_fmt_c(z) for z in ctx.eigenvalues) + "\n")
+    out.write("eigenvalues: " + ", ".join(map(_fmt_c, ctx.eigenvalues)) + "\n")
     out.write(f"cond_T: {ctx.cond_T:.6e}\n")
     out.write(f"min_gap: {ctx.min_gap:.6e}\n")
     out.write(f"verification residual: {verify:.6e}\n")
-    out.write("T:\n")
-    _print_matrix(ctx.T, out)
+    out.write("T:\n" + _row_template(ctx.d) * ctx.d % tuple(_floats(ctx.T).ravel().tolist()))
     return EXIT_OK
 
 

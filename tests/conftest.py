@@ -1,8 +1,12 @@
+import json
+import os
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
 import qcomm as qc
+from qcomm import problems
 
 OMEGA3 = np.exp(2j * np.pi / 3)
 
@@ -107,6 +111,126 @@ def match_values(xs, ys):
     cost = np.abs(xs[:, None] - ys[None, :])
     r, c = linear_sum_assignment(cost)
     return float(cost[r, c].max())
+
+
+def generic_problem_doc(rng, d, n):
+    """qcomm/1 problem on a random generic Q whose d scalar polynomials have
+    n random (so, almost surely distinct) roots each: n**d solutions."""
+    ctx = random_context(rng, d)
+    roots = rng.uniform(-1, 1, (d, n)) + 1j * rng.uniform(-1, 1, (d, n))
+    coords = np.array([np.poly(r) for r in roots]).T[1:]  # A_k's diag coords
+    return {
+        "schema": problems.SCHEMA,
+        "q": {"matrix": problems.emit(ctx.Q)},
+        "degree": n,
+        "coefficients": [{"diag_coords": problems.emit(c)} for c in coords],
+    }
+
+
+def near_member_problem_doc(rng):
+    """qcomm/1 problem, d=4 and n=2, whose matrix coefficients carry
+    non-commuting noise of relative size 1e-8, so that the certificate flags
+    all 16 solutions."""
+    ctx = random_context(rng, 4)
+    roots = rng.uniform(-1, 1, (4, 2)) + 1j * rng.uniform(-1, 1, (4, 2))
+    mats = []
+    for c in (-(roots[:, 0] + roots[:, 1]), roots[:, 0] * roots[:, 1]):
+        a = qc.from_diag_coords(ctx, c)
+        noise = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        mats.append(a + 1e-8 * np.linalg.norm(a) * noise)
+    return {
+        "schema": problems.SCHEMA,
+        "q": {"matrix": problems.emit(ctx.Q)},
+        "degree": 2,
+        "coefficients": [{"matrix": problems.emit(a)} for a in mats],
+    }
+
+
+# References for the CLI reports, sharing no code with cli's writers: the
+# JSON documents are nested lists written by json.dump(indent=2), and every
+# text number is one format() call.
+
+
+def assert_same_text(got, want):
+    """got == want, reporting the first difference: pytest's own diff of
+    two megabyte-long strings takes minutes."""
+    if got != want:
+        i = len(os.path.commonprefix([got, want]))
+        lo = max(0, i - 60)
+        raise AssertionError(
+            f"first difference at {i} of {len(got)} and {len(want)} characters: "
+            f"got {got[lo : i + 60]!r}, want {want[lo : i + 60]!r}"
+        )
+
+
+def solve_json_reference(ctx, sol_set):
+    doc = {
+        "schema": problems.SCHEMA,
+        "eigenvalues": problems.emit(ctx.eigenvalues),
+        "scalar_polys": problems.emit(sol_set.scalar_polys),
+        "counts": sol_set.counts,
+        "total": sol_set.total,
+        "solutions": [
+            {
+                "indices": list(s.indices),
+                "u": problems.emit(s.u),
+                "matrix": problems.emit(s.X),
+                "residual": s.residual,
+            }
+            for s in sol_set.solutions
+        ],
+        "warnings": sol_set.warnings,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def complex_text_reference(z):
+    return format(z.real, "+.12g") + format(z.imag, "+.12g") + "j"
+
+
+def matrix_text_reference(m):
+    return "".join(
+        "  [" + ", ".join(complex_text_reference(z) for z in row) + "]\n" for row in m
+    )
+
+
+def solve_text_reference(ctx, sol_set):
+    """stdout of `qcomm solve` without --json; its warnings go to stderr."""
+    out = ["eigenvalues: " + ", ".join(map(complex_text_reference, ctx.eigenvalues)) + "\n"]
+    for i, g in enumerate(sol_set.scalar_polys):
+        out.append(f"g_{i + 1} coeffs (ascending): [" + ", ".join(map(complex_text_reference, g)) + "]\n")
+    out.append(f"distinct-root counts: {tuple(sol_set.counts)}\n")
+    out.append(f"total solutions: {sol_set.total}\n")
+    for s in sol_set.solutions:
+        out.append(f"solution {s.indices}  residual {format(s.residual, '.3e')}\n")
+        out.append(matrix_text_reference(s.X))
+    return "".join(out)
+
+
+def diag_json_reference(ctx, verify):
+    doc = {
+        "schema": problems.SCHEMA,
+        "provenance": ctx.provenance,
+        "eigenvalues": problems.emit(ctx.eigenvalues),
+        "cond_T": ctx.cond_T,
+        "min_gap": ctx.min_gap,
+        "verification_residual": verify,
+        "T": problems.emit(ctx.T),
+        "T_inv": problems.emit(ctx.T_inv),
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def diag_text_reference(ctx, verify):
+    return (
+        f"provenance: {ctx.provenance}\n"
+        + "eigenvalues: " + ", ".join(map(complex_text_reference, ctx.eigenvalues)) + "\n"
+        + f"cond_T: {format(ctx.cond_T, '.6e')}\n"
+        + f"min_gap: {format(ctx.min_gap, '.6e')}\n"
+        + f"verification residual: {format(verify, '.6e')}\n"
+        + "T:\n"
+        + matrix_text_reference(ctx.T)
+    )
 
 
 @pytest.fixture

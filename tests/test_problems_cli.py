@@ -10,7 +10,7 @@ import qcomm as qc
 from qcomm import algebra, cli, problems, solver
 from qcomm.errors import NumericalFailure, ParseError, QcommError, SingularMatrix
 
-from conftest import horner_residual, random_context
+from conftest import generic_problem_doc, horner_residual, matrix_text_reference, random_context
 
 
 def run_cli(args):
@@ -132,12 +132,16 @@ def test_cli_examples():
         assert doc["counts"] == [2, 1, 2]
 
 
-@pytest.mark.parametrize("name", ["paper-3.1", "paper-3.2"])
-def test_cli_solve_text_matches_per_solution_reference(tmp_path, name):
+@pytest.mark.parametrize("name", ["paper-3.1", "paper-3.2", "generic-d5n4-blocks"])
+def test_cli_solve_text_matches_per_solution_reference(tmp_path, monkeypatch, name):
     # the solution block of `qcomm solve` is byte for byte what one
     # T diag(u) T^-1 and one Horner residual per solution print, in
-    # itertools.product order
-    doc = problems.BUILTIN_PROBLEMS[name]
+    # itertools.product order; the generic case spans several blocks
+    if name in problems.BUILTIN_PROBLEMS:
+        doc = problems.BUILTIN_PROBLEMS[name]
+    else:
+        doc = generic_problem_doc(np.random.default_rng(5), 5, 4)
+        monkeypatch.setattr(solver, "_CHUNK_ENTRIES", 300 * 5 * 5)
     rc, text = run_cli(["solve", write_json(tmp_path / "p.json", doc)])
     assert rc == 0
     ctx, coeffs, _ = problems.parse_problem(doc, name)
@@ -148,7 +152,7 @@ def test_cli_solve_text_matches_per_solution_reference(tmp_path, name):
         u = [ss.distinct_roots[i][j].representative for i, j in enumerate(indices)]
         x = algebra.from_diag_coords(ctx, u)
         ref.write(f"solution {indices}  residual {horner_residual(eq.mats, x):.3e}\n")
-        cli._print_matrix(x, ref)
+        ref.write(matrix_text_reference(x))
     assert text[text.index("solution ("):] == ref.getvalue()
 
 
@@ -323,6 +327,20 @@ def test_cli_bad_option_exits_2(tmp_path, capsys, key, value):
     assert rc == 2
     assert out == ""
     assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, options", [(["--cap", "3"], {}), ([], {"cap": 3})], ids=["flag", "problem-option"]
+)
+def test_cli_cap_message_names_the_cli_option(tmp_path, capsys, flags, options):
+    # the library's advice, "pass truncate=True", names no option of the CLI
+    path = write_json(tmp_path / "p.json", problem_doc(options=options))
+    rc, out = run_cli(["solve", path, *flags])
+    assert rc == 2
+    assert out == ""
+    assert capsys.readouterr().err == (
+        "error: 4 solutions exceed cap 3; raise --cap or the problem's options.cap\n"
+    )
 
 
 def test_cli_malformed_input_exits_2(tmp_path):
