@@ -10,7 +10,7 @@ class DimensionMismatch(QcommError):
 
 
 class SingularMatrix(QcommError):
-    """A pivot fell below the singularity threshold during factorization."""
+    """An inverse met an exactly zero pivot, or d * eps * cond_1 >= 1."""
 
 
 class NumericalFailure(QcommError):

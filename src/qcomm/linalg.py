@@ -1,15 +1,12 @@
 """Dense complex matrix kernel.
 
 Matrices are plain numpy arrays of dtype complex. This module wraps the
-LAPACK-backed numpy/scipy routines behind the error and determinism
-contracts the rest of the package relies on: sorted eigenvalues, phase-fixed
-eigenvectors, explicit singularity detection in solves.
+LAPACK-backed numpy routines behind the error and determinism contracts the
+rest of the package relies on: sorted eigenvalues, phase-fixed eigenvectors,
+explicit singularity detection in the one inverse.
 """
 
-import warnings
-
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, NumericalFailure, SingularMatrix
 
@@ -28,32 +25,25 @@ def frobenius(a):
     return float(np.linalg.norm(np.asarray(a, dtype=complex), "fro"))
 
 
-def solve(a, b):
-    """Solve a X = b by pivoted LU.
+def inverse(a):
+    """a^-1 by pivoted LU.
 
-    Raises SingularMatrix when any pivot falls below the conventional
-    backward-stable threshold d * eps * max-row-norm.
+    Raises SingularMatrix when LAPACK meets an exactly zero pivot, or when
+    the 1-norm reciprocal condition falls to d * eps, that is, when
+    d * eps * ||a||_1 * ||a^-1||_1 >= 1.
     """
     a = as_cmatrix(a)
-    b = np.asarray(b, dtype=complex)
     d = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("solve needs a square matrix")
-    if b.shape[0] != d:
-        raise DimensionMismatch(f"rhs rows {b.shape[0]} != matrix rows {d}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    row_norm = float(np.max(np.sum(np.abs(a), axis=1))) if d else 0.0
-    thresh = d * np.finfo(float).eps * row_norm
-    if np.any(np.abs(np.diag(lu)) <= thresh):
-        raise SingularMatrix("pivot below singularity threshold")
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-
-
-def inverse(a):
-    a = as_cmatrix(a)
-    return solve(a, np.eye(a.shape[0], dtype=complex))
+    if d != a.shape[1]:
+        raise DimensionMismatch("inverse needs a square matrix")
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix("exactly zero pivot") from exc
+    # "not <" also rejects a NaN product, as from an inverse that overflowed
+    if not d * np.finfo(float).eps * np.linalg.norm(a, 1) * np.linalg.norm(inv, 1) < 1:
+        raise SingularMatrix("reciprocal condition below d * eps")
+    return inv
 
 
 def min_gap(eigs):

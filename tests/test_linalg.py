@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import qcomm
 from qcomm import linalg
-from qcomm.errors import SingularMatrix
+from qcomm.errors import DimensionMismatch, SingularMatrix
 from qcomm.structured import companion_matrix, dft_matrix
 
 from conftest import OMEGA3, match_values, random_basis, random_distinct
@@ -10,28 +15,13 @@ from conftest import OMEGA3, match_values, random_basis, random_distinct
 
 def test_solve_identity(rng):
     b = rng.standard_normal((3, 2)) + 0j
-    assert np.allclose(linalg.solve(np.eye(3), b), b)
+    assert np.allclose(linalg.inverse(np.eye(3)) @ b, b)
 
 
 def test_solve_diagonal():
     a = np.diag([1.0, 2.0, 4.0]).astype(complex)
-    x = linalg.solve(a, np.eye(3, dtype=complex))
+    x = linalg.inverse(a) @ np.eye(3, dtype=complex)
     assert np.allclose(x, np.diag([1.0, 0.5, 0.25]))
-
-
-def test_solve_round_trip(rng):
-    for _ in range(20):
-        d = rng.integers(2, 7)
-        a = random_basis(rng, d)
-        x0 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        x = linalg.solve(a, a @ x0)
-        assert np.linalg.norm(x - x0) <= 1e-10 * np.linalg.norm(x0)
-
-
-def test_solve_singular():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
-    with pytest.raises(SingularMatrix):
-        linalg.solve(a, np.eye(2))
 
 
 def test_inverse_identity_and_diag():
@@ -40,6 +30,41 @@ def test_inverse_identity_and_diag():
         linalg.inverse(np.diag([1.0, 2.0, 4.0]).astype(complex)),
         np.diag([1.0, 0.5, 0.25]),
     )
+
+
+def test_inverse_round_trip(rng):
+    for _ in range(20):
+        d = rng.integers(2, 7)
+        a = random_basis(rng, d)
+        x0 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        x = linalg.inverse(a) @ (a @ x0)
+        assert np.linalg.norm(x - x0) <= 1e-10 * np.linalg.norm(x0)
+
+
+def test_inverse_singular():
+    a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
+    with pytest.raises(SingularMatrix):
+        linalg.inverse(a)
+
+
+def test_inverse_rejects_non_square():
+    with pytest.raises(DimensionMismatch):
+        linalg.inverse(np.ones((2, 3), dtype=complex))
+
+
+@pytest.mark.parametrize("s", [1e-10, 1.0, 1e10])
+@pytest.mark.parametrize("d", [2, 5])
+def test_inverse_singularity_boundary(s, d):
+    # s * diag(1, ..., 1, f*d*eps) is rejected exactly when f <= 1, at any
+    # scale s: where the rule "a pivot <= d*eps*max-row-norm" flips too
+    eps = np.finfo(float).eps
+    for f, singular in [(0.25, True), (0.5, True), (0.99, True), (1.01, False), (2, False), (4, False)]:
+        a = s * np.diag([1.0] * (d - 1) + [f * d * eps]).astype(complex)
+        if singular:
+            with pytest.raises(SingularMatrix):
+                linalg.inverse(a)
+        else:
+            assert np.allclose(linalg.inverse(a) @ a, np.eye(d))
 
 
 def test_inverse_dft_is_conjugate_transpose():
@@ -109,3 +134,11 @@ def test_frobenius():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert linalg.frobenius(a) == pytest.approx(np.sqrt(np.sum(np.abs(a) ** 2)))
+
+
+def test_qcomm_loads_no_scipy():
+    # a fresh interpreter: this one has scipy loaded already by conftest
+    src = os.path.dirname(os.path.dirname(qcomm.__file__))
+    code = "import sys, qcomm, qcomm.cli; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

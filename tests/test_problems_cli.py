@@ -10,7 +10,7 @@ import qcomm as qc
 from qcomm import algebra, cli, problems, solver
 from qcomm.errors import NumericalFailure, ParseError, QcommError, SingularMatrix
 
-from conftest import generic_problem_doc, horner_residual, matrix_text_reference, random_context
+from conftest import assert_same_text, generic_problem_doc, horner_residual, matrix_text_reference, random_context
 
 
 def run_cli(args):
@@ -153,7 +153,7 @@ def test_cli_solve_text_matches_per_solution_reference(tmp_path, monkeypatch, na
         x = algebra.from_diag_coords(ctx, u)
         ref.write(f"solution {indices}  residual {horner_residual(eq.mats, x):.3e}\n")
         ref.write(matrix_text_reference(x))
-    assert text[text.index("solution ("):] == ref.getvalue()
+    assert_same_text(text[text.index("solution ("):], ref.getvalue())
 
 
 def test_cli_check_pass_and_fail(tmp_path):
