@@ -78,10 +78,18 @@ def assemble_context(q, eigs, T, T_inv, distinct_tol, provenance="generic"):
 
 
 def make_context(q, distinct_tol=DEFAULT_TOL):
-    """Diagonalize Q and verify its eigenvalues are numerically distinct."""
+    """Diagonalize Q and verify its eigenvalues are numerically distinct. T
+    is inverted first: a defective Q, whose eigenvalues can come out with a
+    gap of exactly 0, raises SingularMatrix for its eigenbasis."""
     q = linalg.as_cmatrix(q)
     eigs, T = linalg.eig(q)
-    return assemble_context(q, eigs, T, linalg.inverse(T), distinct_tol)
+    try:
+        T_inv = linalg.inverse(T)
+    except SingularMatrix as exc:
+        gap = linalg.min_gap(eigs)
+        msg = f"eigenbasis of Q is singular ({exc}; minimum eigenvalue gap {gap:.3e})"
+        raise SingularMatrix(f"{msg}: Q is defective or nearly so") from exc
+    return assemble_context(q, eigs, T, T_inv, distinct_tol)
 
 
 def commutator(ctx, a):

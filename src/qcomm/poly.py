@@ -3,8 +3,6 @@
 Coefficients are stored in ascending order: coeffs[j] multiplies x**j.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegreeZero, ZeroPolynomial
@@ -87,33 +85,19 @@ def roots(p):
     return stack_roots(p.coeffs[None])[0]
 
 
-@dataclass
-class RootCluster:
-    """A group of numerically coincident roots.
-
-    representative is the mean of the members (multiplicity-weighted,
-    order-independent).
-    """
-
-    representative: complex
-    multiplicity: int
-
-
 def cluster_roots(rs, tol_abs, tol_rel):
-    """Partition roots into clusters by single-linkage proximity.
+    """Partition each row of a (rows, m) root stack into clusters by
+    single-linkage proximity, with one tol_abs per row (or one for all).
 
     Two roots join one cluster iff some chain connects them with each link
-    shorter than tol_abs + tol_rel * max(|r1|, |r2|). Clusters are sorted
-    by (real, imag) of their representative, so output order does not
-    depend on input order.
-
-    rs is one root vector, giving one cluster list, or a (rows, m) stack
-    with one tol_abs per row (or one for all), giving one list per row.
+    shorter than tol_abs + tol_rel * max(|r1|, |r2|). Returns flat arrays
+    (reps, mults, counts): reps[k] is the mean of cluster k's members and
+    mults[k] their number, row by row, with each row's clusters sorted by
+    (real, imag) of reps, so output order does not depend on input order;
+    counts[i] is the number of clusters of row i.
     """
     rs = np.asarray(rs, dtype=complex)
-    if rs.ndim == 1:
-        return cluster_roots(rs[None], tol_abs, tol_rel)[0]
-    m = rs.shape[1]
+    rows, m = rs.shape
     mag = np.abs(rs)
     reach = np.reshape(tol_abs, (-1, 1, 1)) + tol_rel * np.maximum(mag[:, :, None], mag[:, None])
     near = np.abs(rs[:, :, None] - rs[:, None]) <= reach
@@ -127,13 +111,19 @@ def cluster_roots(rs, tol_abs, tol_rel):
         if (spread == labels).all():
             break
         labels = spread
-    out = []
-    for row, heads in zip(rs, np.broadcast_to(labels, rs.shape).tolist()):
-        groups = {}
-        for i, head in enumerate(heads):
-            groups.setdefault(head, []).append(i)
-        # np.mean's own arithmetic, without its call overhead
-        clusters = [RootCluster(complex(row[g].sum() / len(g)), len(g)) for g in groups.values()]
-        clusters.sort(key=lambda c: (c.representative.real, c.representative.imag))
-        out.append(clusters)
-    return out
+    # Group members by (row, label), in index order within each cluster.
+    key = (np.arange(rows)[:, None] * m + labels).ravel()
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    sizes = np.diff(starts, append=len(key))
+    # np.mean's own arithmetic, one row-wise sum per distinct cluster size
+    # (np.add.reduceat adds in another order, off in the last bit)
+    members = rs.ravel()[order]
+    reps = np.empty(len(starts), dtype=complex)
+    for size in np.unique(sizes):
+        sel = np.flatnonzero(sizes == size)
+        reps[sel] = members[starts[sel, None] + np.arange(size)].sum(axis=1) / size
+    row = key[starts] // max(m, 1)  # no roots, no starts
+    by = np.lexsort((reps.imag, reps.real, row))
+    return reps[by], sizes[by], np.bincount(row, minlength=rows)

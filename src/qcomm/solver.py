@@ -127,8 +127,12 @@ class Solution:
 
 @dataclass
 class SolutionSet:
+    """roots and multiplicities are flat, aligned with counts: index i's
+    distinct roots are roots[o : o + counts[i]], o = sum(counts[:i])."""
+
     scalar_polys: np.ndarray
-    distinct_roots: list
+    roots: np.ndarray
+    multiplicities: np.ndarray
     counts: list
     total: int
     solutions: list
@@ -137,20 +141,20 @@ class SolutionSet:
 
 def _clustered(asc, cluster_tol, factors):
     """For tol = cluster_tol (algebra.DEFAULT_TOL if None) times each of
-    factors, the distinct-root clusters of every row of asc: one
-    poly.stack_roots call per block of rows, and one poly.cluster_roots call
-    per block and tolerance."""
+    factors, poly.cluster_roots's (reps, mults, counts) of all rows of asc:
+    one poly.stack_roots call per block of rows, and one poly.cluster_roots
+    call per block and tolerance."""
     tol = algebra.DEFAULT_TOL if cluster_tol is None else cluster_tol
     tols = [tol * f for f in factors]
     d, n = asc.shape[0], asc.shape[1] - 1
     rows = max(1, _CHUNK_ENTRIES // n ** 2)
-    out = [[] for _ in tols]
+    blocks = [[] for _ in tols]
     for start in range(0, d, rows):
         block = asc[start : start + rows]
         rs, s = poly.stack_roots(block), poly.scale(block)
-        for clusters, tol in zip(out, tols):
-            clusters.extend(poly.cluster_roots(rs, tol * s, tol))
-    return out
+        for out, tol in zip(blocks, tols):
+            out.append(poly.cluster_roots(rs, tol * s, tol))
+    return [[np.concatenate(parts) for parts in zip(*out)] for out in blocks]
 
 
 def _mixed_radix(flat, counts):
@@ -168,7 +172,7 @@ def _mixed_radix(flat, counts):
 
 def count_solutions(eq, cluster_tol=None):
     """Per-index distinct-root counts and their product."""
-    counts = [len(c) for c in _clustered(build_scalar_polys(eq), cluster_tol, [1])[0]]
+    counts = _clustered(build_scalar_polys(eq), cluster_tol, [1])[0][2].tolist()
     return counts, math.prod(counts)
 
 
@@ -182,22 +186,23 @@ def solve(
     """Enumerate all solutions of the equation in the commutant of Q.
 
     Root tuples are enumerated lexicographically, with the distinct roots of
-    each scalar polynomial sorted by (real, imag). Solutions are built and
-    certified in chunks: each chunk is a stack of candidates T diag(u) T^-1,
-    members by construction, formed by one algebra.from_diag_coords call
-    and checked by one eq.certify call. Residuals over the bound are
-    reported in warnings, never dropped.
+    each scalar polynomial sorted by (real, imag); the result carries them
+    as the flat roots and multiplicities arrays poly.cluster_roots returns.
+    Solutions are built and certified in chunks: each chunk is a stack of
+    candidates T diag(u) T^-1, members by construction, formed by one
+    algebra.from_diag_coords call and checked by one eq.certify call.
+    Residuals over the bound are reported in warnings, never dropped.
     """
     gs = build_scalar_polys(eq)
     # a count that moves at 4x or 1/4 of tol sits on the numerical knife edge
-    all_clusters, merged, split = _clustered(gs, cluster_tol, [1, 4, 1 / 4])
-    counts = [len(c) for c in all_clusters]
+    (reps, mults, counts), (*_, merged), (*_, split) = _clustered(gs, cluster_tol, [1, 4, 1 / 4])
+    counts = counts.tolist()
     warnings_out = list(eq.ctx.warnings)
     for i, (count, hi, lo) in enumerate(zip(counts, merged, split)):
-        if not len(hi) == len(lo) == count:
+        if not hi == lo == count:
             warnings_out.append(
                 f"g_{i + 1}: distinct-root count is tolerance-sensitive "
-                f"(merged {len(hi)}, split {len(lo)}, using {count})"
+                f"(merged {hi}, split {lo}, using {count})"
             )
     total = math.prod(counts)
     if total > enumeration_cap and not truncate:
@@ -205,9 +210,7 @@ def solve(
             f"{total} solutions exceed cap {enumeration_cap}; pass truncate=True"
         )
 
-    # representatives of all clusters in one array; index i's roots start
-    # at offsets[i]
-    reps = np.array([c.representative for cs in all_clusters for c in cs], dtype=complex)
+    # index i's roots start at reps[offsets[i]]
     offsets = np.cumsum([0] + counts[:-1])
     emitted = min(total, enumeration_cap)
     rows = max(1, _CHUNK_ENTRIES // eq.ctx.d ** 2)
@@ -227,4 +230,4 @@ def solve(
         warnings_out.append(
             f"enumeration truncated at {enumeration_cap} of {total} solutions"
         )
-    return SolutionSet(gs, all_clusters, counts, total, solutions, warnings_out)
+    return SolutionSet(gs, reps, mults, counts, total, solutions, warnings_out)

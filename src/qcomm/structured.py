@@ -47,12 +47,9 @@ class WeightedCirculantSpec:
 def weighted_circulant_matrix(spec):
     """Matrix with spec.weights[:-1] on the superdiagonal and weights[-1]
     in the bottom-left corner."""
-    w = spec.weights
-    d = len(w)
+    d = len(spec.weights)
     q = np.zeros((d, d), dtype=complex)
-    for i in range(d - 1):
-        q[i, i + 1] = w[i]
-    q[d - 1, 0] = w[d - 1]
+    q[np.arange(d), (np.arange(d) + 1) % d] = spec.weights
     return q
 
 

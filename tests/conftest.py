@@ -46,8 +46,9 @@ def horner_residual(mats, x):
 
 def single_linkage_reference(rs, tol_abs, tol_rel):
     """Clusters of rs by a flood fill that tests one pair of roots at a time:
-    a reference that shares no code with poly.cluster_roots. Members are
-    averaged in index order, and clusters sorted by (real, imag)."""
+    a reference that shares no code with poly.cluster_roots. Returns
+    (representative, multiplicity) pairs: members are averaged in index
+    order, and clusters sorted by (real, imag)."""
     rs = [complex(r) for r in rs]
     unseen = list(range(len(rs)))
     clusters = []
@@ -62,8 +63,8 @@ def single_linkage_reference(rs, tol_abs, tol_rel):
                     comp.append(b)
                     frontier.append(b)
         members = np.array([rs[j] for j in sorted(comp)])
-        clusters.append(qc.RootCluster(complex(members.mean()), len(members)))
-    clusters.sort(key=lambda c: (c.representative.real, c.representative.imag))
+        clusters.append((complex(members.mean()), len(members)))
+    clusters.sort(key=lambda c: (c[0].real, c[0].imag))
     return clusters
 
 
@@ -93,6 +94,11 @@ def per_polynomial_reference(asc, tol):
         swing = None if merged == split == len(clusters) else (merged, split)
         out.append((clusters, swing))
     return out
+
+
+def roots_by_index(ss):
+    """A SolutionSet's flat roots split into one array per index."""
+    return np.split(ss.roots, np.cumsum(ss.counts)[:-1])
 
 
 def match_matrices(xs, ys):

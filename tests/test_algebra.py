@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qcomm import algebra
-from qcomm.errors import DimensionMismatch, NotDistinctEigenvalues, NotMember
+from qcomm.errors import DimensionMismatch, IllConditionedWarning, NotDistinctEigenvalues, NotMember
 from qcomm.poly import Polynomial
 from qcomm.structured import (
     WeightedCirculantSpec,
@@ -83,13 +83,15 @@ def test_repr_poly_round_trip(rng):
 def test_repr_poly_badly_scaled_nodes(rng):
     # Q = 200 * cyclic shift at d=8: the Vandermonde rows differ in scale by
     # 200^7, yet the nodes are well separated and the circulant A with first
-    # row b is sum_k (b_k / 200^k) Q^k.
+    # row b is sum_k (b_k / 200^k) Q^k. The Vandermonde condition number
+    # (about 1e16) is reported as a warning.
     d = 8
     b = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     a = circulant_context(b).Q
     circ = circulant_context(200 * np.eye(d)[1])
     for ctx in (circ, algebra.make_context(circ.Q)):
-        p = algebra.repr_poly(ctx, a)
+        with pytest.warns(IllConditionedWarning, match="Vandermonde system condition"):
+            p = algebra.repr_poly(ctx, a)
         assert np.max(np.abs(p.coeffs * 200.0 ** np.arange(d) - b)) < 1e-12
         assert np.max(np.abs(algebra.from_repr_poly(ctx, p) - a)) < 1e-12
 

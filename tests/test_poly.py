@@ -7,6 +7,14 @@ from qcomm.poly import Polynomial, cluster_roots, from_roots, roots, scale
 from conftest import match_values, single_linkage_reference
 
 
+def one_row(rs, tol_abs, tol_rel):
+    """cluster_roots of one root vector, as (representative, multiplicity)
+    pairs."""
+    reps, mults, counts = cluster_roots(np.atleast_2d(rs), tol_abs, tol_rel)
+    assert counts.tolist() == [len(reps)]
+    return list(zip(reps.tolist(), mults.tolist()))
+
+
 def test_eval_known_roots():
     g1 = Polynomial([4, -5, 1])  # (x-1)(x-4)
     assert g1(1) == pytest.approx(0)
@@ -76,45 +84,43 @@ def test_roots_residual_small(rng):
 
 def test_cluster_double_root():
     g2 = Polynomial([1, 2, 1])
-    clusters = cluster_roots(roots(g2), 1e-6, 1e-6)
+    clusters = one_row(roots(g2), 1e-6, 1e-6)
     assert len(clusters) == 1
-    assert clusters[0].multiplicity == 2
-    assert clusters[0].representative == pytest.approx(-1, abs=1e-6)
+    assert clusters[0][1] == 2
+    assert clusters[0][0] == pytest.approx(-1, abs=1e-6)
 
 
 def test_cluster_separated_roots():
-    clusters = cluster_roots([1.0, 4.0], 1e-8, 1e-8)
-    assert [c.multiplicity for c in clusters] == [1, 1]
-    assert clusters[0].representative == pytest.approx(1)
+    clusters = one_row([1.0, 4.0], 1e-8, 1e-8)
+    assert [c[1] for c in clusters] == [1, 1]
+    assert clusters[0][0] == pytest.approx(1)
     # a NaN root is near nothing, not even another NaN
-    assert [c.multiplicity for c in cluster_roots([np.nan, np.nan, 1.0], 1e-8, 1e-8)] == [1, 1, 1]
+    assert [c[1] for c in one_row([np.nan, np.nan, 1.0], 1e-8, 1e-8)] == [1, 1, 1]
 
 
 def test_cluster_empty():
-    assert cluster_roots([], 1e-8, 1e-8) == []
+    assert one_row([], 1e-8, 1e-8) == []
+    reps, mults, counts = cluster_roots(np.empty((3, 0)), 1e-8, 1e-8)
+    assert (reps.size, mults.size, counts.tolist()) == (0, 0, [0, 0, 0])
 
 
 def test_cluster_permutation_invariant(rng):
     rs = list(rng.uniform(-2, 2, 7) + 1j * rng.uniform(-2, 2, 7))
-    a = cluster_roots(rs, 1e-3, 1e-3)
-    b = cluster_roots(rs[::-1], 1e-3, 1e-3)
-    assert [(c.representative, c.multiplicity) for c in a] == [
-        (c.representative, c.multiplicity) for c in b
-    ]
+    assert one_row(rs, 1e-3, 1e-3) == one_row(rs[::-1], 1e-3, 1e-3)
 
 
 def test_cluster_multiplicities_sum_to_degree(rng):
     for _ in range(30):
         deg = rng.integers(1, 9)
         p = from_roots(rng.uniform(-2, 2, deg) + 1j * rng.uniform(-2, 2, deg))
-        clusters = cluster_roots(roots(p), 1e-8 * scale(p.coeffs), 1e-8)
-        assert sum(c.multiplicity for c in clusters) == deg
+        clusters = one_row(roots(p), 1e-8 * scale(p.coeffs), 1e-8)
+        assert sum(c[1] for c in clusters) == deg
 
 
 def test_cluster_representative_is_mean():
-    clusters = cluster_roots([1.0, 1.0 + 4e-9, 5.0], 1e-8, 1e-8)
-    assert clusters[0].representative == pytest.approx(1.0 + 2e-9, abs=1e-12)
-    assert clusters[0].multiplicity == 2
+    clusters = one_row([1.0, 1.0 + 4e-9, 5.0], 1e-8, 1e-8)
+    assert clusters[0][0] == pytest.approx(1.0 + 2e-9, abs=1e-12)
+    assert clusters[0][1] == 2
 
 
 def test_cluster_chain_longer_than_threshold(rng):
@@ -122,25 +128,29 @@ def test_cluster_chain_longer_than_threshold(rng):
     # link length, but the chain makes them one cluster in any input order
     chain = 0.9e-3 * np.arange(50) * np.exp(0.3j)
     for rs in (chain, rng.permutation(chain)):
-        clusters = cluster_roots(rs, 1e-3, 0.0)
+        clusters = one_row(rs, 1e-3, 0.0)
         assert len(clusters) == 1
-        assert clusters[0].multiplicity == 50
-    assert len(cluster_roots(chain[[0, -1]], 1e-3, 0.0)) == 2
+        assert clusters[0][1] == 50
+    assert len(one_row(chain[[0, -1]], 1e-3, 0.0)) == 2
 
 
 def test_cluster_matches_single_linkage_reference(rng):
+    # one (60, 24) stack with one tol_abs per row: the flat arrays are the
+    # per-row references concatenated, and counts their lengths
+    stack = []
     for _ in range(60):
         base = rng.uniform(-2, 2, 12) + 1j * rng.uniform(-2, 2, 12)
         # near-coincident copies at several scales, so clusters of 1 to 4
         # members form at each tolerance
         jitter = 10.0 ** rng.integers(-10, -1, 12) * np.exp(2j * np.pi * rng.uniform(size=12))
-        rs = rng.permutation(np.concatenate([base, base[:8] + jitter[:8], base[:4] - jitter[4:8]]))
-        for tol in (1e-8, 1e-5, 1e-2):
-            got = cluster_roots(rs, tol, tol)
-            ref = single_linkage_reference(rs, tol, tol)
-            assert [(c.representative, c.multiplicity) for c in got] == [
-                (c.representative, c.multiplicity) for c in ref
-            ]
+        rs = np.concatenate([base, base[:8] + jitter[:8], base[:4] - jitter[4:8]])
+        stack.append(rng.permutation(rs))
+    for tol in (1e-8, 1e-5, 1e-2):
+        tol_abs = tol * rng.uniform(1, 4, len(stack))
+        reps, mults, counts = cluster_roots(np.array(stack), tol_abs, tol)
+        ref = [single_linkage_reference(rs, t, tol) for rs, t in zip(stack, tol_abs)]
+        assert counts.tolist() == [len(cs) for cs in ref]
+        assert list(zip(reps.tolist(), mults.tolist())) == [c for cs in ref for c in cs]
 
 
 def test_root_product_reconstruction(rng):
@@ -148,11 +158,8 @@ def test_root_product_reconstruction(rng):
     for _ in range(20):
         deg = rng.integers(1, 7)
         p = from_roots(random_separated(rng, deg))
-        clusters = cluster_roots(roots(p), 1e-8 * scale(p.coeffs), 1e-8)
-        reps = []
-        for c in clusters:
-            reps.extend([c.representative] * c.multiplicity)
-        q = from_roots(reps)
+        reps, mults, _ = cluster_roots(roots(p)[None], 1e-8 * scale(p.coeffs), 1e-8)
+        q = from_roots(np.repeat(reps, mults))
         tol = 1e-7 * deg * max(1.0, np.max(np.abs(p.coeffs)))
         assert np.max(np.abs(q.coeffs - p.coeffs)) < tol
 

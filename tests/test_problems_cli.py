@@ -10,7 +10,14 @@ import qcomm as qc
 from qcomm import algebra, cli, problems, solver
 from qcomm.errors import NumericalFailure, ParseError, QcommError, SingularMatrix
 
-from conftest import assert_same_text, generic_problem_doc, horner_residual, matrix_text_reference, random_context
+from conftest import (
+    assert_same_text,
+    generic_problem_doc,
+    horner_residual,
+    matrix_text_reference,
+    random_context,
+    roots_by_index,
+)
 
 
 def run_cli(args):
@@ -148,8 +155,9 @@ def test_cli_solve_text_matches_per_solution_reference(tmp_path, monkeypatch, na
     eq = solver.MatrixPolyEquation(ctx, coeffs)
     ss = solver.solve(eq)
     ref = io.StringIO()
+    per_index = roots_by_index(ss)
     for indices in itertools.product(*(range(c) for c in ss.counts)):
-        u = [ss.distinct_roots[i][j].representative for i, j in enumerate(indices)]
+        u = [per_index[i][j] for i, j in enumerate(indices)]
         x = algebra.from_diag_coords(ctx, u)
         ref.write(f"solution {indices}  residual {horner_residual(eq.mats, x):.3e}\n")
         ref.write(matrix_text_reference(x))
@@ -292,13 +300,20 @@ def test_cli_overflowing_context_exits_3(tmp_path, capsys, q):
     assert err.startswith("numerical failure: ") and "non-finite" in err
 
 
-def test_cli_defective_q_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "jordan",
+    [[[1, 1], [0, 1]], [[2, 1, 0], [0, 2, 1], [0, 0, 2]]],
+    ids=["2x2", "3x3"],
+)
+def test_cli_defective_q_exits_3(tmp_path, capsys, jordan):
     # A Jordan block has a singular eigenbasis; inverting it fails before
-    # the distinct-eigenvalue check runs.
-    q = {"matrix": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}
+    # the distinct-eigenvalue check runs, and the message says why.
+    q = {"matrix": [[[v, 0] for v in row] for row in jordan]}
     rc, _ = run_cli(["diag", write_json(tmp_path / "q.json", {"schema": "qcomm/1", "q": q})])
     assert rc == 3
-    assert capsys.readouterr().err.startswith("numerical failure: ")
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: eigenbasis of Q is singular")
+    assert "minimum eigenvalue gap 0.000e+00" in err and "defective" in err
 
 
 @pytest.mark.parametrize(

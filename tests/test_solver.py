@@ -8,7 +8,13 @@ from qcomm import algebra, solver
 from qcomm.errors import DegreeZero, DimensionMismatch, EnumerationCapExceeded, NotMember
 from qcomm.poly import Polynomial
 
-from conftest import horner_residual, match_matrices, per_polynomial_reference, random_context
+from conftest import (
+    horner_residual,
+    match_matrices,
+    per_polynomial_reference,
+    random_context,
+    roots_by_index,
+)
 
 PAPER_DIAG = [np.array([-5, 2, -3], dtype=complex), np.array([4, 1, 2], dtype=complex)]
 
@@ -272,10 +278,11 @@ def test_chunked_enumeration_matches_per_solution_reference(rng, monkeypatch):
     ss = solver.solve(eq)
     product = list(itertools.product(*(range(c) for c in ss.counts)))
     assert len(product) == len(ss.solutions) == 81
+    per_index = roots_by_index(ss)
     for indices, s in zip(product, ss.solutions):
         assert s.indices == indices
         assert all(type(i) is int for i in s.indices)
-        u = np.array([ss.distinct_roots[i][j].representative for i, j in enumerate(indices)])
+        u = np.array([per_index[i][j] for i, j in enumerate(indices)])
         x = algebra.from_diag_coords(ctx, u)
         assert np.max(np.abs(s.u - u)) <= 1e-12 * np.max(np.abs(u))
         assert np.max(np.abs(s.X - x)) <= 1e-12 * np.max(np.abs(x))
@@ -306,8 +313,9 @@ def test_double_root_counts_once():
     # g with a double root contributes one distinct root, kept as multiplicity
     eq = paper32_eq()
     ss = solver.solve(eq)
-    assert ss.counts[1] == 1
-    assert ss.distinct_roots[1][0].multiplicity == 2
+    assert ss.counts == [2, 1, 2]
+    assert all(type(c) is int for c in ss.counts)
+    assert ss.multiplicities.tolist() == [1, 1, 2, 1, 1]
 
 
 def test_solutions_enumerated_lexicographically():
@@ -339,7 +347,7 @@ def scalar_layer(ss):
     """Everything solve derives from the scalar layer, as exact values."""
     return (
         ss.counts,
-        [[(c.representative, c.multiplicity) for c in cs] for cs in ss.distinct_roots],
+        list(zip(ss.roots.tolist(), ss.multiplicities.tolist())),
         [w for w in ss.warnings if "tolerance-sensitive" in w],
         [(s.indices, s.u.tolist()) for s in ss.solutions],
     )
@@ -359,10 +367,10 @@ def test_stacked_scalar_layer_matches_per_polynomial_reference():
         polys += d
         for tol in (1e-8, 1e-6, 1e-3):
             ref = per_polynomial_reference(asc, tol)
-            reps = [[c.representative for c in cs] for cs, _ in ref]
+            reps = [[r for r, _ in cs] for cs, _ in ref]
             expected = (
                 [len(cs) for cs, _ in ref],
-                [[(c.representative, c.multiplicity) for c in cs] for cs, _ in ref],
+                [c for cs, _ in ref for c in cs],
                 [
                     f"g_{i + 1}: distinct-root count is tolerance-sensitive "
                     f"(merged {swing[0]}, split {swing[1]}, using {len(cs)})"
