@@ -59,16 +59,10 @@ def _write_json(out, doc, lists):
     out.write(parts[-1] + "\n")
 
 
-def _solution_blocks(solutions, d):
-    """solutions in solve's blocks, with their u and X floats and residuals."""
-    rows = max(1, solver._CHUNK_ENTRIES // d ** 2)
-    for b in (solutions[start : start + rows] for start in range(0, len(solutions), rows)):
-        us, xs = (_floats(np.array([getattr(s, k) for s in b])) for k in ("u", "X"))
-        yield b, us, xs, np.array([s.residual for s in b])[:, None]
-
-
 def _report_solution_set(ctx, sol_set, as_json, out):
-    d, blocks = ctx.d, _solution_blocks(sol_set.solutions, ctx.d)
+    d, rows = ctx.d, max(1, solver._CHUNK_ENTRIES // ctx.d ** 2)
+    blocks = [slice(start, start + rows) for start in range(0, len(sol_set.us), rows)]
+    idx, us, xs, r = sol_set.indices, sol_set.us, sol_set.xs, sol_set.residuals[:, None]
     if as_json:
         doc = {
             "schema": problems.SCHEMA,
@@ -82,8 +76,8 @@ def _report_solution_set(ctx, sol_set, as_json, out):
         u = [[_HOLE] * 2] * d  # skeleton of problems.emit of d complex numbers
         item = {"indices": [_HOLE] * d, "u": u, "matrix": [u] * d, "residual": _HOLE}
         arrays = (
-            np.concatenate([[s.indices for s in b], us, xs, r], axis=1, dtype=object)
-            for b, us, xs, r in blocks
+            np.concatenate([idx[b], _floats(us[b]), _floats(xs[b]), r[b]], axis=1, dtype=object)
+            for b in blocks
         )
         return _write_json(out, doc, [(item, arrays)])
     out.write("eigenvalues: " + ", ".join(map(_fmt_c, ctx.eigenvalues)) + "\n")
@@ -92,10 +86,10 @@ def _report_solution_set(ctx, sol_set, as_json, out):
     out.write(f"distinct-root counts: {tuple(sol_set.counts)}\n")
     out.write(f"total solutions: {sol_set.total}\n")
     template = "solution %s  residual %.3e\n" + _row_template(d) * d
-    for b, _, xs, r in blocks:
-        idx = np.array([str(s.indices) for s in b], dtype=object)[:, None]
-        cells = np.concatenate([idx, r, xs], axis=1, dtype=object).ravel().tolist()
-        out.write(template * len(b) % tuple(cells))
+    for b in blocks:
+        keys = np.array([str(tuple(row)) for row in idx[b].tolist()], dtype=object)[:, None]
+        cells = np.concatenate([keys, r[b], _floats(xs[b])], axis=1, dtype=object).ravel().tolist()
+        out.write(template * len(keys) % tuple(cells))
     for w in sol_set.warnings:
         sys.stderr.write(f"warning: {w}\n")
 
@@ -118,8 +112,8 @@ def _solve_problem(args, problem, out):
     try:
         sol_set = solver.solve(eq, **_solve_opts(args, opts))
     except errors.EnumerationCapExceeded as exc:
-        count = str(exc).split(";")[0]  # "N solutions exceed cap C"
-        raise errors.EnumerationCapExceeded(f"{count}; raise --cap or the problem's options.cap")
+        remedy = "raise --cap or the problem's options.cap"
+        raise errors.EnumerationCapExceeded(f"{exc.total} solutions exceed cap {exc.cap}; {remedy}")
     _report_solution_set(ctx, sol_set, args.json, out)
     return EXIT_OK
 
@@ -175,6 +169,7 @@ def cmd_repr(args, out):
 def cmd_diag(args, out):
     ctx = _load_q_context(args.qfile)
     verify = linalg.frobenius(ctx.T_inv @ ctx.Q @ ctx.T - np.diag(ctx.eigenvalues))
+    k = -(-ctx.d ** 2 // solver._CHUNK_ENTRIES)  # both reports write T in k blocks of rows
     if args.json:
         doc = {
             "schema": problems.SCHEMA,
@@ -186,15 +181,16 @@ def cmd_diag(args, out):
             "T": [_LIST],
             "T_inv": [_LIST],
         }
-        row, k = [[_HOLE] * 2] * ctx.d, -(-ctx.d ** 2 // solver._CHUNK_ENTRIES)
+        row = [[_HOLE] * 2] * ctx.d
         _write_json(out, doc, [(row, np.array_split(_floats(m), k)) for m in (ctx.T, ctx.T_inv)])
         return EXIT_OK
     out.write(f"provenance: {ctx.provenance}\n")
     out.write("eigenvalues: " + ", ".join(map(_fmt_c, ctx.eigenvalues)) + "\n")
     out.write(f"cond_T: {ctx.cond_T:.6e}\n")
     out.write(f"min_gap: {ctx.min_gap:.6e}\n")
-    out.write(f"verification residual: {verify:.6e}\n")
-    out.write("T:\n" + _row_template(ctx.d) * ctx.d % tuple(_floats(ctx.T).ravel().tolist()))
+    out.write(f"verification residual: {verify:.6e}\nT:\n")
+    for block in np.array_split(_floats(ctx.T), k):
+        out.write(_row_template(ctx.d) * len(block) % tuple(block.ravel().tolist()))
     return EXIT_OK
 
 

@@ -38,7 +38,11 @@ class ZeroWeight(QcommError):
 
 
 class EnumerationCapExceeded(QcommError):
-    """The solution count exceeds the enumeration cap and truncation was not requested."""
+    """The solution count exceeds the cap and truncation was not requested; see total and cap."""
+
+    def __init__(self, message, total=None, cap=None):
+        super().__init__(message)
+        self.total, self.cap = total, cap
 
 
 class ParseError(QcommError):

@@ -128,15 +128,26 @@ class Solution:
 @dataclass
 class SolutionSet:
     """roots and multiplicities are flat, aligned with counts: index i's
-    distinct roots are roots[o : o + counts[i]], o = sum(counts[:i])."""
+    distinct roots are roots[o : o + counts[i]], o = sum(counts[:i]). Row j
+    of indices (m, d), us (m, d), xs (m, d, d) and residuals (m,) holds the
+    j-th of the m emitted solutions: its root indices, u, X and residual."""
 
     scalar_polys: np.ndarray
     roots: np.ndarray
     multiplicities: np.ndarray
     counts: list
     total: int
-    solutions: list
+    indices: np.ndarray
+    us: np.ndarray
+    xs: np.ndarray
+    residuals: np.ndarray
     warnings: list = field(default_factory=list)
+
+    @functools.cached_property
+    def solutions(self):
+        """One Solution per row, built on first use; u and X are views into us and xs."""
+        keys = map(tuple, self.indices.tolist())
+        return list(map(Solution, keys, self.us, self.xs, self.residuals.tolist()))
 
 
 def _clustered(asc, cluster_tol, factors):
@@ -188,10 +199,11 @@ def solve(
     Root tuples are enumerated lexicographically, with the distinct roots of
     each scalar polynomial sorted by (real, imag); the result carries them
     as the flat roots and multiplicities arrays poly.cluster_roots returns.
-    Solutions are built and certified in chunks: each chunk is a stack of
-    candidates T diag(u) T^-1, members by construction, formed by one
-    algebra.from_diag_coords call and checked by one eq.certify call.
-    Residuals over the bound are reported in warnings, never dropped.
+    The solutions are SolutionSet's four arrays, with X and residuals filled
+    in chunks: each chunk is a stack of candidates T diag(u) T^-1, members by
+    construction, formed by one algebra.from_diag_coords call and checked by
+    one eq.certify call; no per-solution object is built. Residuals over the
+    bound are reported in warnings, never dropped.
     """
     gs = build_scalar_polys(eq)
     # a count that moves at 4x or 1/4 of tol sits on the numerical knife edge
@@ -207,27 +219,24 @@ def solve(
     total = math.prod(counts)
     if total > enumeration_cap and not truncate:
         raise EnumerationCapExceeded(
-            f"{total} solutions exceed cap {enumeration_cap}; pass truncate=True"
+            f"{total} solutions exceed cap {enumeration_cap}; pass truncate=True",
+            total=total, cap=enumeration_cap,
         )
 
-    # index i's roots start at reps[offsets[i]]
-    offsets = np.cumsum([0] + counts[:-1])
-    emitted = min(total, enumeration_cap)
+    indices = _mixed_radix(np.arange(min(total, enumeration_cap)), counts)
+    us = reps[indices + np.cumsum([0] + counts[:-1])]  # index i's roots start at sum(counts[:i])
+    xs = np.empty(us.shape + us.shape[-1:], dtype=complex)
+    residuals, bounds = np.empty(len(us)), np.empty(len(us))
     rows = max(1, _CHUNK_ENTRIES // eq.ctx.d ** 2)
-    solutions = []
-    for start in range(0, emitted, rows):
-        idx = _mixed_radix(np.arange(start, min(start + rows, emitted)), counts)
-        us = reps[idx + offsets]
-        xs = algebra.from_diag_coords(eq.ctx, us)
-        resids, bounds = eq.certify(xs, residual_tol)
-        keys = [tuple(row) for row in idx.tolist()]
-        for j in np.nonzero(~(resids <= bounds))[0]:
-            warnings_out.append(
-                f"solution {keys[j]}: residual {resids[j]:.3e} exceeds {bounds[j]:.3e}"
-            )
-        solutions.extend(map(Solution, keys, us, xs, resids.tolist()))
+    for start in range(0, len(us), rows):
+        block = slice(start, start + rows)
+        xs[block] = algebra.from_diag_coords(eq.ctx, us[block])
+        residuals[block], bounds[block] = eq.certify(xs[block], residual_tol)
+    for j in np.nonzero(~(residuals <= bounds))[0]:
+        key = tuple(indices[j].tolist())
+        warnings_out.append(f"solution {key}: residual {residuals[j]:.3e} exceeds {bounds[j]:.3e}")
     if total > enumeration_cap:
         warnings_out.append(
             f"enumeration truncated at {enumeration_cap} of {total} solutions"
         )
-    return SolutionSet(gs, reps, mults, counts, total, solutions, warnings_out)
+    return SolutionSet(gs, reps, mults, counts, total, indices, us, xs, residuals, warnings_out)

@@ -76,15 +76,16 @@ def test_solve_report_matches_reference(tmp_path, capsys, monkeypatch, case, as_
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_reports_of_non_finite_numbers_match_reference(as_json):
     # NaN and infinities reach the writers only from a damaged solution set;
-    # they must come out as json.dump and format() write them
+    # they must come out as json.dump and format() write them. The arrays are
+    # damaged before anything reads .solutions, whose records the references read.
     ctx, coeffs, _ = problems.parse_problem(problems.BUILTIN_PROBLEMS["paper-3.1"], "paper-3.1")
     ss = solver.solve(solver.MatrixPolyEquation(ctx, coeffs))
     odd = np.array(ODD_FLOATS)
-    for k, s in enumerate(ss.solutions):
-        s.u, s.X = s.u.copy(), s.X.copy()
-        s.u.imag = np.roll(odd, k)[:3]
-        s.X.real, s.X.imag = np.roll(odd, k)[:9].reshape(3, 3), np.roll(odd, -k)[:9].reshape(3, 3)
-        s.residual = ODD_FLOATS[k]
+    for k in range(len(ss.residuals)):
+        ss.us[k].imag = np.roll(odd, k)[:3]
+        x = ss.xs[k]
+        x.real, x.imag = np.roll(odd, k)[:9].reshape(3, 3), np.roll(odd, -k)[:9].reshape(3, 3)
+        ss.residuals[k] = ODD_FLOATS[k]
     out = io.StringIO()
     cli._report_solution_set(ctx, ss, as_json, out)
     reference = solve_json_reference if as_json else solve_text_reference

@@ -1,10 +1,11 @@
+import io
 import itertools
 
 import numpy as np
 import pytest
 
 import qcomm as qc
-from qcomm import algebra, solver
+from qcomm import algebra, cli, solver
 from qcomm.errors import DegreeZero, DimensionMismatch, EnumerationCapExceeded, NotMember
 from qcomm.poly import Polynomial
 
@@ -425,3 +426,57 @@ def test_nan_residual_tol_flags_every_solution():
     ss = solver.solve(paper31_eq(), residual_tol=float("nan"))
     flagged = [w for w in ss.warnings if w.startswith("solution ")]
     assert len(flagged) == len(ss.solutions) == 4
+
+
+@pytest.mark.parametrize("cap", [None, 10], ids=["full", "truncated"])
+def test_solutions_are_four_arrays(rng, cap):
+    ctx = random_context(rng, 4)
+    coeffs = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(3)]
+    eq = solver.MatrixPolyEquation(ctx, coeffs)
+    ss = solver.solve(eq) if cap is None else solver.solve(eq, enumeration_cap=cap, truncate=True)
+    m = 81 if cap is None else cap
+    assert ss.total == 81
+    for a, shape, dtype in [
+        (ss.indices, (m, 4), np.intp),
+        (ss.us, (m, 4), np.complex128),
+        (ss.xs, (m, 4, 4), np.complex128),
+        (ss.residuals, (m,), np.float64),
+    ]:
+        assert a.shape == shape and a.dtype == dtype
+    product = itertools.product(*(range(c) for c in ss.counts))
+    assert ss.indices.tolist() == [list(t) for t in itertools.islice(product, m)]
+    assert len(ss.solutions) == m
+    for j, s in enumerate(ss.solutions):
+        assert s.indices == tuple(ss.indices[j].tolist())
+        assert np.array_equal(s.u, ss.us[j]) and np.array_equal(s.X, ss.xs[j])
+        assert s.residual == ss.residuals[j] and type(s.residual) is float
+        assert np.shares_memory(s.u, ss.us) and np.shares_memory(s.X, ss.xs)
+
+
+def test_solve_and_reports_build_no_solution_records(monkeypatch, capsys):
+    def no_records(*args):
+        raise AssertionError("a Solution record was built")
+
+    monkeypatch.setattr(solver, "Solution", no_records)
+    ss = solver.solve(paper31_eq())
+    assert ss.indices.tolist() == [[0, 0, 0], [0, 0, 1], [1, 0, 0], [1, 0, 1]]
+    for flags in ([], ["--json"]):
+        out = io.StringIO()
+        assert cli.main(["example", "paper-3.1", *flags], out=out) == 0
+        assert out.getvalue().count("residual") == 4
+    # d = 1: each text key is a one-element tuple
+    ctx = qc.circulant_context([2.0])
+    eq = solver.MatrixPolyEquation(ctx, [[0], [-1]])  # x^2 - 1
+    out = io.StringIO()
+    cli._report_solution_set(ctx, solver.solve(eq), False, out)
+    keys = [line.split("  ")[0] for line in out.getvalue().splitlines() if line.startswith("sol")]
+    assert keys == ["solution (0,)", "solution (1,)"]
+    with pytest.raises(AssertionError, match="record was built"):
+        ss.solutions
+
+
+def test_enumeration_cap_error_carries_total_and_cap():
+    with pytest.raises(EnumerationCapExceeded) as info:
+        solver.solve(paper31_eq(), enumeration_cap=3)
+    assert (info.value.total, info.value.cap) == (4, 3)
+    assert str(info.value) == "4 solutions exceed cap 3; pass truncate=True"
