@@ -13,24 +13,25 @@ generic eigensolver.
 import numpy as np
 
 import qcomm as qc
-from qcomm.poly import Polynomial
 
 d = 4
 rng = np.random.default_rng(0)
 a = rng.uniform(-2, 2, d) + 1j * rng.uniform(-2, 2, d)
-p = Polynomial(a)
 omega = np.exp(2j * np.pi / d)
 
 print("circulant_context eigenvalue vs Horner at omega^(d-i+1):")
 eigs = qc.circulant_context(a).eigenvalues
 for i in range(1, d + 1):
-    horner = p(omega ** (d - i + 1))
+    horner = qc.poly.evaluate(a, omega ** (d - i + 1))
     print(f"  i={i}: {eigs[i - 1]:.12f}  vs  {horner:.12f}  (diff {abs(eigs[i - 1] - horner):.2e})")
 
-# a degree-3 equation over circulants, solved via the circulant context
+# a degree-3 equation over circulants, solved via the circulant context; each
+# coefficient is a polynomial in Q (ascending coefficients), that is, the
+# circulant with that first row
 ctx = qc.circulant_context([0.0, 1.0, 0.0, 0.0])  # Q = cyclic shift
 coeffs = [
-    Polynomial(rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d)) for _ in range(3)
+    qc.from_repr_poly(ctx, rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d))
+    for _ in range(3)
 ]
 result = qc.solve(qc.MatrixPolyEquation(ctx, coeffs))
 print(f"\ncounts {tuple(result.counts)} -> total {result.total}")

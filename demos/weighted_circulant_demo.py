@@ -24,7 +24,7 @@ print(np.round(ctx.eigenvalues, 6))
 A = qc.from_diag_coords(ctx, [-5, 2, -3])
 B = qc.from_diag_coords(ctx, [4, 1, 2])
 print("\nA commutes with Q:", qc.is_member(ctx, A))
-print("representation polynomial of A:", qc.repr_poly(ctx, A))
+print("representation polynomial of A (ascending):", np.round(qc.repr_poly(ctx, A), 6))
 
 eq = qc.MatrixPolyEquation(ctx, [A, B])
 for i, g in enumerate(qc.build_scalar_polys(eq), start=1):

@@ -30,7 +30,7 @@ from .errors import (
     ZeroPolynomial,
     ZeroWeight,
 )
-from .poly import Polynomial, cluster_roots, from_roots, roots
+from .poly import cluster_roots, roots
 from .solver import (
     MatrixPolyEquation,
     SolutionSet,

@@ -21,9 +21,12 @@ from .errors import (
     NumericalFailure,
     SingularMatrix,
 )
-from .poly import Polynomial
+from .poly import evaluate, trim
 
 DEFAULT_TOL = 1e-8
+# diag_coords' membership tolerance, looser than DEFAULT_TOL: a coefficient built in
+# floating point commutes with Q only up to rounding, and the equation uses its projection.
+PROJECTION_TOL = 1e-6
 
 
 @dataclass
@@ -119,19 +122,14 @@ def _member_diag(ctx, a, tol):
     return np.einsum("ij,ji->i", ctx.T_inv @ a, ctx.T)
 
 
-def diag_coords(ctx, a, tol=DEFAULT_TOL):
-    """Diagonal of T^-1 A T, in the context's eigenvalue order.
-
-    This is the forgiving projection used for equation coefficients: the
-    membership test runs at max(tol, 1e-6), so near-members are projected
-    onto the algebra and gross commutation failure raises NotMember.
-    """
-    return _member_diag(ctx, a, max(tol, 1e-6))
+def diag_coords(ctx, a):
+    """Diagonal of T^-1 A T, in eigenvalue order, once A is a member at PROJECTION_TOL."""
+    return _member_diag(ctx, a, PROJECTION_TOL)
 
 
 def repr_poly(ctx, a, tol=DEFAULT_TOL):
-    """Representation polynomial of a member: the unique degree <= d-1
-    polynomial f with A = f(Q).
+    """Representation polynomial of a member: the poly.trim'd ascending
+    coefficients of the unique degree <= d-1 polynomial f with A = f(Q).
 
     Coefficients solve the Vandermonde system in the eigenvalues, with the
     diagonal of T^-1 A T as right-hand side, by pivoted LU with no
@@ -150,7 +148,7 @@ def repr_poly(ctx, a, tol=DEFAULT_TOL):
             IllConditionedWarning,
         )
     try:
-        return Polynomial(np.linalg.solve(V, diag))
+        return trim(np.linalg.solve(V, diag))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"Vandermonde system: {exc}") from exc
 
@@ -167,20 +165,15 @@ def from_diag_coords(ctx, u):
     return (ctx.T * u[..., None, :]) @ ctx.T_inv
 
 
-def from_repr_poly(ctx, p):
-    """Evaluate a polynomial at Q.
-
-    Degree <= d-1 uses the Horner sum in powers of Q directly; higher
-    degrees are reduced by evaluating at the eigenvalues and rebuilding from
-    diagonal coordinates, which is the same member by Cayley–Hamilton and
-    numerically steadier than forming Q**d.
-    """
-    if not isinstance(p, Polynomial):
-        p = Polynomial(p)
-    if p.degree >= ctx.d:
-        return from_diag_coords(ctx, p(ctx.eigenvalues))
+def from_repr_poly(ctx, c):
+    """Ascending coefficients c evaluated at Q: by Horner in powers of Q up to
+    degree d-1 (after poly.trim), above that from c's values at the eigenvalues,
+    the same member by Cayley–Hamilton and numerically steadier than Q**d."""
+    c = trim(c)
+    if len(c) > ctx.d:
+        return from_diag_coords(ctx, evaluate(c, ctx.eigenvalues))
     eye = np.eye(ctx.d, dtype=complex)
     acc = np.zeros_like(ctx.Q)
-    for c in p.coeffs[::-1]:
-        acc = acc @ ctx.Q + c * eye
+    for a in c[::-1]:
+        acc = acc @ ctx.Q + a * eye
     return acc

@@ -112,8 +112,11 @@ def _solve_problem(args, problem, out):
     try:
         sol_set = solver.solve(eq, **_solve_opts(args, opts))
     except errors.EnumerationCapExceeded as exc:
+        if exc.total is None or exc.cap is None:
+            raise
         remedy = "raise --cap or the problem's options.cap"
-        raise errors.EnumerationCapExceeded(f"{exc.total} solutions exceed cap {exc.cap}; {remedy}")
+        total = solver.describe_count(exc.total)
+        raise errors.EnumerationCapExceeded(f"{total} solutions exceed cap {exc.cap}; {remedy}")
     _report_solution_set(ctx, sol_set, args.json, out)
     return EXIT_OK
 
@@ -157,10 +160,8 @@ def cmd_repr(args, out):
         comm, _ = algebra.commutator(ctx, a)
         sys.stderr.write(f"not a member: commutation residual {comm:.6e}\n")
         return EXIT_INVALID
-    recon = algebra.from_repr_poly(ctx, p)
-    resid = linalg.frobenius(recon - a)
-    coeffs = np.zeros(ctx.d, dtype=complex)
-    coeffs[: len(p.coeffs)] = p.coeffs
+    resid = linalg.frobenius(algebra.from_repr_poly(ctx, p) - a)
+    coeffs = np.pad(p, (0, ctx.d - len(p)))  # repr_poly trims trailing zeros
     out.write("coefficients (ascending): " + ", ".join(_fmt_c(c) for c in coeffs) + "\n")
     out.write(f"reconstruction residual: {resid:.6e}\n")
     return EXIT_OK

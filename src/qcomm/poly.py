@@ -1,6 +1,6 @@
 """Complex univariate polynomials: evaluation, root finding, root clustering.
 
-Coefficients are stored in ascending order: coeffs[j] multiplies x**j.
+A polynomial is a 1-D complex array of ascending coefficients: c[j] multiplies x**j.
 """
 
 import numpy as np
@@ -8,44 +8,16 @@ import numpy as np
 from .errors import DegreeZero, ZeroPolynomial
 
 
-class Polynomial:
-    """Dense complex polynomial with ascending coefficients.
-
-    Trailing (high-order) zero coefficients are trimmed at construction,
-    so the leading coefficient is nonzero unless the polynomial is
-    identically zero (empty coefficient vector).
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-        nz = np.nonzero(c)[0]
-        self.coeffs = c[: nz[-1] + 1] if nz.size else c[:0]
-
-    @property
-    def degree(self):
-        """Degree, or -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def __call__(self, z):
-        """Evaluate at ``z`` (scalar or array) by Horner's scheme."""
-        z = np.asarray(z, dtype=complex)
-        acc = np.zeros_like(z)
-        for c in self.coeffs[::-1]:
-            acc = acc * z + c
-        return acc if acc.shape else complex(acc)
-
-    def __repr__(self):
-        return f"Polynomial({list(self.coeffs)})"
+def trim(c):
+    """Ascending coefficients c as a complex array, trailing exact zeros (-0.0 too) cut."""
+    c = np.atleast_1d(np.asarray(c, dtype=complex))
+    nz = np.flatnonzero(c)
+    return c[: nz[-1] + 1] if nz.size else c[:0]
 
 
-def from_roots(rs):
-    """Monic polynomial with the given roots, by incremental factor expansion."""
-    coeffs = np.array([1.0 + 0.0j])
-    for r in rs:
-        coeffs = np.concatenate(([0.0j], coeffs)) - r * np.concatenate((coeffs, [0.0j]))
-    return Polynomial(coeffs)
+def evaluate(c, z):
+    """Value at z of ascending coefficients c, by Horner's scheme over trim(c)."""
+    return np.polyval(trim(c)[::-1], np.asarray(z, dtype=complex))
 
 
 def scale(c):
@@ -75,14 +47,15 @@ def stack_roots(asc):
     return rs - np.where(np.abs(dv) > 0, pv / safe, 0.0)
 
 
-def roots(p):
-    """All ``degree(p)`` roots of a Polynomial, counted with multiplicity, by
-    stack_roots; raises ZeroPolynomial / DegreeZero on degenerate input."""
-    if p.degree < 0:
+def roots(c):
+    """All roots of ascending coefficients c, with multiplicity, by stack_roots
+    after trim; raises ZeroPolynomial / DegreeZero on degenerate input."""
+    c = trim(c)
+    if len(c) == 0:
         raise ZeroPolynomial("zero polynomial has no well-defined root set")
-    if p.degree == 0:
+    if len(c) == 1:
         raise DegreeZero("nonzero constant polynomial has no roots")
-    return stack_roots(p.coeffs[None])[0]
+    return stack_roots(c[None])[0]
 
 
 def cluster_roots(rs, tol_abs, tol_rel):

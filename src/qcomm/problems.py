@@ -14,7 +14,7 @@ import numpy as np
 
 from . import algebra, structured
 from .errors import ParseError
-from .poly import Polynomial
+from .poly import evaluate
 
 SCHEMA = "qcomm/1"
 
@@ -73,7 +73,7 @@ def load_json(path):
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an int literal past the digit limit
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     _check_schema(doc, path)
     return doc
@@ -100,7 +100,8 @@ def context_from_q_spec(q_spec, distinct_tol=algebra.DEFAULT_TOL, where="q"):
     return structured.companion_context(parse_vector(q_spec[kind], where), distinct_tol)
 
 
-def coefficient_from_entry(entry, where):
+def coefficient_from_entry(entry, where, ctx):
+    """A matrix or diag coordinates; repr_poly is evaluated at ctx's eigenvalues."""
     if not isinstance(entry, dict):
         raise ParseError(f"{where}: expected an object")
     keys = [k for k in COEFF_VARIANTS if k in entry]
@@ -110,7 +111,7 @@ def coefficient_from_entry(entry, where):
     if kind == "matrix":
         return parse_matrix(entry[kind], where)
     if kind == "repr_poly":
-        return Polynomial(parse_vector(entry[kind], where))
+        return evaluate(parse_vector(entry[kind], where), ctx.eigenvalues)
     return parse_vector(entry[kind], where)
 
 
@@ -154,7 +155,7 @@ def parse_problem(doc, path="<problem>"):
     if not isinstance(coeff_entries, list) or len(coeff_entries) != n:
         raise ParseError(f"{path}: 'coefficients' must list exactly {n} entries")
     coeffs = [
-        coefficient_from_entry(e, f"{path}:coefficients[{i}]")
+        coefficient_from_entry(e, f"{path}:coefficients[{i}]", ctx)
         for i, e in enumerate(coeff_entries)
     ]
     return ctx, coeffs, opts
@@ -171,23 +172,21 @@ def load_matrix_file(path):
 # Worked regression problems: a degree-2 equation whose coefficient data is
 # pinned at the eigenvalues, posed over a weighted circulant and over a
 # companion matrix. Both share the same scalar data (-5, 2, -3) / (4, 1, 2).
+_PAPER_COEFFICIENTS = [
+    {"diag_coords": [[-5, 0], [2, 0], [-3, 0]]},
+    {"diag_coords": [[4, 0], [1, 0], [2, 0]]},
+]
 BUILTIN_PROBLEMS = {
     "paper-3.1": {
         "schema": SCHEMA,
         "q": {"weighted_circulant": [[1, 0], [1, 0], [8, 0]]},
         "degree": 2,
-        "coefficients": [
-            {"diag_coords": [[-5, 0], [2, 0], [-3, 0]]},
-            {"diag_coords": [[4, 0], [1, 0], [2, 0]]},
-        ],
+        "coefficients": _PAPER_COEFFICIENTS,
     },
     "paper-3.2": {
         "schema": SCHEMA,
         "q": {"companion_eigenvalues": [[1, 0], [2, 0], [3, 0]]},
         "degree": 2,
-        "coefficients": [
-            {"diag_coords": [[-5, 0], [2, 0], [-3, 0]]},
-            {"diag_coords": [[4, 0], [1, 0], [2, 0]]},
-        ],
+        "coefficients": _PAPER_COEFFICIENTS,
     },
 }

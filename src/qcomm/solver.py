@@ -30,16 +30,15 @@ class MatrixPolyEquation:
 
     coeffs lists the n coefficients from the X^(n-1) term down to the
     constant term; each entry may be a d x d matrix (a member of the
-    algebra), a Polynomial (its representation polynomial), or a length-d
-    vector of diagonal coordinates.
+    algebra) or a length-d vector of diagonal coordinates.
 
     The coefficients are normalized once, here: coords is the (n, d) array
     whose row k holds the diagonal coordinates of coefficient k+1, and
     given[k] is that coefficient as the caller's d x d matrix, or None when
-    it was a Polynomial or a coordinate vector. Each matrix coefficient is
-    projected with algebra.diag_coords once, so a non-member raises
-    NotMember and a wrongly shaped one DimensionMismatch, as does any
-    coefficient whose coordinates are not all finite.
+    it was a coordinate vector. Each matrix coefficient is projected with
+    algebra.diag_coords once, so a non-member raises NotMember and a
+    wrongly shaped one DimensionMismatch, as does any coefficient whose
+    coordinates are not all finite.
     """
 
     def __init__(self, ctx, coeffs):
@@ -50,15 +49,10 @@ class MatrixPolyEquation:
         self.coords = np.empty((len(coeffs), d), dtype=complex)
         self.given = [None] * len(coeffs)
         for k, c in enumerate(coeffs):
-            if isinstance(c, poly.Polynomial):
-                self.coords[k] = c(ctx.eigenvalues)
-                continue
             arr = np.asarray(c, dtype=complex)
             if arr.ndim == 1:
                 if arr.shape != (d,):
-                    raise DimensionMismatch(
-                        f"coefficient {k + 1}: expected {d} diag coordinates"
-                    )
+                    raise DimensionMismatch(f"coefficient {k + 1}: expected {d} diag coordinates")
                 self.coords[k] = arr
             else:
                 self.given[k] = arr
@@ -150,6 +144,14 @@ class SolutionSet:
         return list(map(Solution, keys, self.us, self.xs, self.residuals.tolist()))
 
 
+def describe_count(n):
+    """str(n), or "about 10^k" past the interpreter's int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"about 10^{int(n.bit_length() * math.log10(2))}"
+
+
 def _clustered(asc, cluster_tol, factors):
     """For tol = cluster_tol (algebra.DEFAULT_TOL if None) times each of
     factors, poly.cluster_roots's (reps, mults, counts) of all rows of asc:
@@ -219,8 +221,8 @@ def solve(
     total = math.prod(counts)
     if total > enumeration_cap and not truncate:
         raise EnumerationCapExceeded(
-            f"{total} solutions exceed cap {enumeration_cap}; pass truncate=True",
-            total=total, cap=enumeration_cap,
+            f"{describe_count(total)} solutions exceed cap {describe_count(enumeration_cap)}; "
+            "pass truncate=True", total=total, cap=enumeration_cap,
         )
 
     indices = _mixed_radix(np.arange(min(total, enumeration_cap)), counts)
@@ -237,6 +239,6 @@ def solve(
         warnings_out.append(f"solution {key}: residual {residuals[j]:.3e} exceeds {bounds[j]:.3e}")
     if total > enumeration_cap:
         warnings_out.append(
-            f"enumeration truncated at {enumeration_cap} of {total} solutions"
+            f"enumeration truncated at {enumeration_cap} of {describe_count(total)} solutions"
         )
     return SolutionSet(gs, reps, mults, counts, total, indices, us, xs, residuals, warnings_out)

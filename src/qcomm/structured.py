@@ -18,7 +18,6 @@ import numpy as np
 from . import linalg
 from .algebra import DEFAULT_TOL, assemble_context
 from .errors import NumericalFailure, ZeroWeight
-from .poly import from_roots
 
 
 @dataclass(frozen=True)
@@ -141,8 +140,10 @@ def companion_context(lambdas, distinct_tol=DEFAULT_TOL):
     """
     lambdas = np.asarray(lambdas, dtype=complex)
     d = len(lambdas)
-    f = from_roots(lambdas)
-    pi = companion_matrix(f.coeffs)
+    f = np.array([1.0 + 0.0j])  # prod (x - lambda_i), one factor at a time
+    for r in lambdas:
+        f = np.concatenate(([0.0j], f)) - r * np.concatenate((f, [0.0j]))
+    pi = companion_matrix(f)
     T = np.vander(lambdas, increasing=True).T.astype(complex)
     ctx = assemble_context(pi, lambdas, T, None, distinct_tol, "companion")
     lam_max = float(np.max(np.abs(lambdas)))

@@ -35,6 +35,12 @@ def random_context(rng, d, gap=0.1):
     return qc.make_context(q)
 
 
+def repr_poly_equation(ctx, coeffs):
+    """The equation whose coefficients have the representation polynomials
+    coeffs (ascending arrays), given by their values at ctx's eigenvalues."""
+    return qc.MatrixPolyEquation(ctx, [qc.poly.evaluate(c, ctx.eigenvalues) for c in coeffs])
+
+
 def horner_residual(mats, x):
     """||X^n + A_1 X^(n-1) + ... + A_n||_F for one candidate, one matrix at
     a time: a reference that shares no code with MatrixPolyEquation.certify."""
@@ -68,26 +74,45 @@ def single_linkage_reference(rs, tol_abs, tol_rel):
     return clusters
 
 
+def monic_from_roots(rs):
+    """Ascending coefficients of prod (x - r) over rs, expanded one factor at
+    a time."""
+    coeffs = np.array([1.0 + 0.0j])
+    for r in rs:
+        coeffs = np.concatenate(([0.0j], coeffs)) - r * np.concatenate((coeffs, [0.0j]))
+    return coeffs
+
+
+def horner_reference(c, z):
+    """Ascending coefficients c at the complex array z by acc = acc * z + c_j
+    from zero, one coefficient at a time: a reference that shares no code
+    with qcomm.poly."""
+    acc = np.zeros_like(z)
+    for cj in c[::-1]:
+        acc = acc * z + cj
+    return acc
+
+
 def per_polynomial_reference(asc, tol):
     """(clusters, swing) of each row of asc at cluster tolerance tol, one
     polynomial at a time: a reference that shares no code with
-    poly.stack_roots or poly.cluster_roots. Roots are the eigenvalues of one
-    2-D companion matrix per row, polished by one Newton step evaluated with
-    Polynomial.__call__, then clustered by single_linkage_reference; swing
-    is None, or the (merged, split) counts at 4x and 1/4 of tol when either
-    differs from the count at tol."""
+    poly.stack_roots or poly.cluster_roots. Each row has a nonzero leading
+    coefficient. Roots are the eigenvalues of one 2-D companion matrix per
+    row, polished by one Newton step evaluated with horner_reference, then
+    clustered by single_linkage_reference; swing is None, or the (merged,
+    split) counts at 4x and 1/4 of tol when either differs from the count at
+    tol."""
     out = []
-    for row in asc:
-        p = qc.Polynomial(row)
-        n = p.degree
+    for c in asc:
+        n = len(c) - 1
         comp = np.zeros((n, n), dtype=complex)
         comp[1:, :-1] = np.eye(n - 1)
-        comp[:, -1] = -(p.coeffs[:-1] / p.coeffs[-1])
+        comp[:, -1] = -(c[:-1] / c[-1])
         rs = np.linalg.eigvals(comp)
-        pv = p(rs)
-        dv = qc.Polynomial(p.coeffs[1:] * np.arange(1, n + 1))(rs)
+        pv = horner_reference(c, rs)
+        dv = horner_reference(c[1:] * np.arange(1, n + 1), rs)
         rs = rs - np.where(np.abs(dv) > 0, pv / np.where(np.abs(dv) > 0, dv, 1.0), 0.0)
-        s = max(1.0, float(np.max(np.abs(p.coeffs)) / abs(p.coeffs[-1])))
+        s = max(1.0, float(np.max(np.abs(c)) / abs(c[-1])))
         clusters = single_linkage_reference(rs, tol * s, tol)
         merged = len(single_linkage_reference(rs, tol * s * 4, tol * 4))
         split = len(single_linkage_reference(rs, tol * s / 4, tol / 4))

@@ -3,7 +3,7 @@ import pytest
 
 from qcomm import algebra
 from qcomm.errors import DimensionMismatch, IllConditionedWarning, NotDistinctEigenvalues, NotMember
-from qcomm.poly import Polynomial
+from qcomm.poly import evaluate
 from qcomm.structured import (
     WeightedCirculantSpec,
     circulant_context,
@@ -51,7 +51,7 @@ def test_repr_poly_of_q():
     ctx = algebra.make_context(Q31)
     p = algebra.repr_poly(ctx, Q31)
     got = np.zeros(3, dtype=complex)
-    got[: len(p.coeffs)] = p.coeffs
+    got[: len(p)] = p
     assert np.allclose(got, [0, 1, 0], atol=1e-10)
 
 
@@ -64,8 +64,8 @@ def test_repr_poly_paper_values():
     nodes = ctx.eigenvalues
     d_mat = np.vander(nodes, increasing=True)
     expected = np.linalg.solve(d_mat, np.array([-5, 2, -3], dtype=complex))
-    assert np.max(np.abs(p.coeffs - expected)) < 1e-10
-    assert match_values(p(nodes), [-5, 2, -3]) < 1e-10
+    assert np.max(np.abs(p - expected)) < 1e-10
+    assert match_values(evaluate(p, nodes), [-5, 2, -3]) < 1e-10
 
 
 def test_repr_poly_round_trip(rng):
@@ -73,10 +73,10 @@ def test_repr_poly_round_trip(rng):
         d = rng.integers(2, 7)
         ctx = random_context(rng, d)
         coeffs = rng.uniform(-2, 2, d) + 1j * rng.uniform(-2, 2, d)
-        a = algebra.from_repr_poly(ctx, Polynomial(coeffs))
+        a = algebra.from_repr_poly(ctx, coeffs)
         back = algebra.repr_poly(ctx, a)
         got = np.zeros(d, dtype=complex)
-        got[: len(back.coeffs)] = back.coeffs
+        got[: len(back)] = back
         assert np.max(np.abs(got - coeffs)) < 1e-8
 
 
@@ -92,7 +92,7 @@ def test_repr_poly_badly_scaled_nodes(rng):
     for ctx in (circ, algebra.make_context(circ.Q)):
         with pytest.warns(IllConditionedWarning, match="Vandermonde system condition"):
             p = algebra.repr_poly(ctx, a)
-        assert np.max(np.abs(p.coeffs * 200.0 ** np.arange(d) - b)) < 1e-12
+        assert np.max(np.abs(p * 200.0 ** np.arange(d) - b)) < 1e-12
         assert np.max(np.abs(algebra.from_repr_poly(ctx, p) - a)) < 1e-12
 
 
@@ -101,7 +101,7 @@ def test_repr_poly_rejects_non_member(rng):
     bad = np.zeros((3, 3), dtype=complex)
     bad[0, 1] = 1.0
     # A near-member: repr_poly and is_member must reject it at the same tol,
-    # while the projection's 1e-6 floor still accepts it.
+    # while the projection at PROJECTION_TOL still accepts it.
     noise = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     near = Q31 @ Q31 + 1e-7 * noise
     for a in (bad, near):
@@ -111,10 +111,29 @@ def test_repr_poly_rejects_non_member(rng):
     assert np.max(np.abs(algebra.diag_coords(ctx, near) - ctx.eigenvalues ** 2)) < 1e-5
 
 
+def test_diag_coords_projects_at_projection_tol(rng):
+    # no tolerance knob: diag_coords projects exactly the matrices whose
+    # commutator is within PROJECTION_TOL, a looser test than DEFAULT_TOL's
+    ctx = algebra.make_context(Q31)
+    noise = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    accepted = []
+    for size in (1e-9, 1e-7, 1e-5, 1e-3):
+        a = Q31 @ Q31 + size * noise
+        resid, scale = algebra.commutator(ctx, a)
+        if resid <= algebra.PROJECTION_TOL * scale:
+            accepted.append(size)
+            assert np.max(np.abs(algebra.diag_coords(ctx, a) - ctx.eigenvalues ** 2)) < 1e-5
+        else:
+            with pytest.raises(NotMember):
+                algebra.diag_coords(ctx, a)
+    assert accepted == [1e-9, 1e-7]
+    assert not algebra.is_member(ctx, Q31 @ Q31 + 1e-7 * noise)
+
+
 def test_from_repr_poly_constants():
     ctx = algebra.make_context(Q31)
-    assert np.allclose(algebra.from_repr_poly(ctx, Polynomial([1])), np.eye(3))
-    assert np.allclose(algebra.from_repr_poly(ctx, Polynomial([0, 1])), Q31)
+    assert np.allclose(algebra.from_repr_poly(ctx, [1]), np.eye(3))
+    assert np.allclose(algebra.from_repr_poly(ctx, [0, 1]), Q31)
 
 
 def test_from_repr_poly_paper_b():
@@ -123,16 +142,16 @@ def test_from_repr_poly_paper_b():
     b_coeffs = np.linalg.solve(
         np.vander(nodes, increasing=True), np.array([4, 1, 2], dtype=complex)
     )
-    b = algebra.from_repr_poly(ctx, Polynomial(b_coeffs))
+    b = algebra.from_repr_poly(ctx, b_coeffs)
     assert np.max(np.abs(algebra.diag_coords(ctx, b) - [4, 1, 2])) < 1e-10
 
 
 def test_from_repr_poly_high_degree_reduced(rng):
     ctx = random_context(rng, 4)
-    p = Polynomial(rng.uniform(-1, 1, 9) + 1j * rng.uniform(-1, 1, 9))
+    p = rng.uniform(-1, 1, 9) + 1j * rng.uniform(-1, 1, 9)
     a = algebra.from_repr_poly(ctx, p)
     assert algebra.is_member(ctx, a)
-    assert np.max(np.abs(algebra.diag_coords(ctx, a) - p(ctx.eigenvalues))) < 1e-8
+    assert np.max(np.abs(algebra.diag_coords(ctx, a) - evaluate(p, ctx.eigenvalues))) < 1e-8
 
 
 def test_from_diag_coords_basics():
@@ -218,5 +237,5 @@ def test_membership_closure(rng):
     for _ in range(10):
         d = rng.integers(2, 7)
         ctx = random_context(rng, d)
-        p = Polynomial(rng.uniform(-2, 2, d) + 1j * rng.uniform(-2, 2, d))
+        p = rng.uniform(-2, 2, d) + 1j * rng.uniform(-2, 2, d)
         assert algebra.is_member(ctx, algebra.from_repr_poly(ctx, p), 1e-8)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from qcomm.errors import DegreeZero, ZeroPolynomial
-from qcomm.poly import Polynomial, cluster_roots, from_roots, roots, scale
+from qcomm.poly import cluster_roots, evaluate, roots, scale, trim
 
-from conftest import match_values, single_linkage_reference
+from conftest import match_values, monic_from_roots, single_linkage_reference
 
 
 def one_row(rs, tol_abs, tol_rel):
@@ -16,16 +16,15 @@ def one_row(rs, tol_abs, tol_rel):
 
 
 def test_eval_known_roots():
-    g1 = Polynomial([4, -5, 1])  # (x-1)(x-4)
-    assert g1(1) == pytest.approx(0)
-    assert g1(4) == pytest.approx(0)
-    g2 = Polynomial([1, 2, 1])  # (x+1)^2
-    assert g2(-1) == pytest.approx(0)
+    g1 = [4, -5, 1]  # (x-1)(x-4)
+    assert evaluate(g1, 1) == pytest.approx(0)
+    assert evaluate(g1, 4) == pytest.approx(0)
+    g2 = [1, 2, 1]  # (x+1)^2
+    assert evaluate(g2, -1) == pytest.approx(0)
 
 
 def test_eval_at_zero_is_constant_term():
-    p = Polynomial([3 + 2j, 5, -1, 7])
-    assert p(0) == 3 + 2j
+    assert evaluate([3 + 2j, 5, -1, 7], 0) == 3 + 2j
 
 
 def test_eval_horner_matches_power_sum(rng):
@@ -33,25 +32,25 @@ def test_eval_horner_matches_power_sum(rng):
         deg = rng.integers(1, 17)
         c = rng.uniform(-10, 10, deg + 1) + 1j * rng.uniform(-10, 10, deg + 1)
         c[-1] += 1e-3  # keep the leading coefficient away from zero
-        p = Polynomial(c)
         z = rng.uniform(-10, 10) + 1j * rng.uniform(-10, 10)
         naive = sum(c[j] * z ** j for j in range(deg + 1))
-        assert abs(p(z) - naive) <= 1e-12 * max(1.0, abs(naive))
+        assert abs(evaluate(c, z) - naive) <= 1e-12 * max(1.0, abs(naive))
 
 
 def test_trailing_zeros_trimmed():
-    p = Polynomial([1, 2, 0, 0])
-    assert p.degree == 1
-    assert Polynomial([0, 0]).degree == -1
+    assert trim([1, 2, 0, -0.0]).tolist() == [1, 2]
+    assert trim([0, 0]).shape == (0,)
+    # the trimmed zeros take no Horner step, and an array z gives an array
+    assert evaluate([1, 2, 0, 0], np.array([3.0])).tolist() == [7]
 
 
 def test_roots_simple_quadratics():
-    assert match_values(roots(Polynomial([4, -5, 1])), [1, 4]) < 1e-10
-    assert match_values(roots(Polynomial([2, -3, 1])), [1, 2]) < 1e-10
+    assert match_values(roots([4, -5, 1]), [1, 4]) < 1e-10
+    assert match_values(roots([2, -3, 1, 0]), [1, 2]) < 1e-10
 
 
 def test_roots_triple_zero():
-    rs = roots(Polynomial([0, 0, 0, 1]))
+    rs = roots([0, 0, 0, 1])
     assert len(rs) == 3
     assert np.max(np.abs(rs)) < 1e-5
 
@@ -61,15 +60,16 @@ def test_roots_recover_planted(rng):
     for _ in range(40):
         deg = rng.integers(1, 9)
         planted = rng.uniform(-2, 2, deg) + 1j * rng.uniform(-2, 2, deg)
-        p = from_roots(planted)
-        assert match_values(roots(p), planted) < 1e-7
+        assert match_values(roots(monic_from_roots(planted)), planted) < 1e-7
 
 
 def test_roots_degenerate_inputs():
-    with pytest.raises(ZeroPolynomial):
-        roots(Polynomial([]))
-    with pytest.raises(DegreeZero):
-        roots(Polynomial([5.0]))
+    for zero in ([], [0.0, -0.0]):
+        with pytest.raises(ZeroPolynomial):
+            roots(zero)
+    for constant in ([5.0], [5.0, 0.0]):
+        with pytest.raises(DegreeZero):
+            roots(constant)
 
 
 def test_roots_residual_small(rng):
@@ -77,14 +77,12 @@ def test_roots_residual_small(rng):
         deg = rng.integers(2, 9)
         c = rng.uniform(-3, 3, deg + 1) + 1j * rng.uniform(-3, 3, deg + 1)
         c[-1] = 1.0
-        p = Polynomial(c)
-        resid = np.max(np.abs(p(roots(p)))) / scale(p.coeffs)
+        resid = np.max(np.abs(evaluate(c, roots(c)))) / scale(c)
         assert resid < 1e-8
 
 
 def test_cluster_double_root():
-    g2 = Polynomial([1, 2, 1])
-    clusters = one_row(roots(g2), 1e-6, 1e-6)
+    clusters = one_row(roots([1, 2, 1]), 1e-6, 1e-6)
     assert len(clusters) == 1
     assert clusters[0][1] == 2
     assert clusters[0][0] == pytest.approx(-1, abs=1e-6)
@@ -112,8 +110,8 @@ def test_cluster_permutation_invariant(rng):
 def test_cluster_multiplicities_sum_to_degree(rng):
     for _ in range(30):
         deg = rng.integers(1, 9)
-        p = from_roots(rng.uniform(-2, 2, deg) + 1j * rng.uniform(-2, 2, deg))
-        clusters = one_row(roots(p), 1e-8 * scale(p.coeffs), 1e-8)
+        p = monic_from_roots(rng.uniform(-2, 2, deg) + 1j * rng.uniform(-2, 2, deg))
+        clusters = one_row(roots(p), 1e-8 * scale(p), 1e-8)
         assert sum(c[1] for c in clusters) == deg
 
 
@@ -157,11 +155,11 @@ def test_root_product_reconstruction(rng):
     # clusters of a monic p expand back to p's coefficients
     for _ in range(20):
         deg = rng.integers(1, 7)
-        p = from_roots(random_separated(rng, deg))
-        reps, mults, _ = cluster_roots(roots(p)[None], 1e-8 * scale(p.coeffs), 1e-8)
-        q = from_roots(np.repeat(reps, mults))
-        tol = 1e-7 * deg * max(1.0, np.max(np.abs(p.coeffs)))
-        assert np.max(np.abs(q.coeffs - p.coeffs)) < tol
+        p = monic_from_roots(random_separated(rng, deg))
+        reps, mults, _ = cluster_roots(roots(p)[None], 1e-8 * scale(p), 1e-8)
+        q = monic_from_roots(np.repeat(reps, mults))
+        tol = 1e-7 * deg * max(1.0, np.max(np.abs(p)))
+        assert np.max(np.abs(q - p)) < tol
 
 
 def random_separated(rng, deg):

@@ -363,18 +363,69 @@ def test_cli_malformed_input_exits_2(tmp_path):
     bad.write_text("{not json")
     rc, _ = run_cli(["solve", str(bad)])
     assert rc == 2
+    bad.write_bytes(b"\xff{}")  # not UTF-8: UnicodeDecodeError, a ValueError
+    rc, _ = run_cli(["solve", str(bad)])
+    assert rc == 2
     rc, _ = run_cli(["solve", str(tmp_path / "missing.json")])
     assert rc == 2
 
 
+def test_cli_integer_literal_past_digit_limit_exits_2(tmp_path, capsys):
+    # json.load raises ValueError, not JSONDecodeError, for an integer literal
+    # longer than the interpreter's int-from-str digit limit (4300 by default)
+    path = tmp_path / "p.json"
+    doc = json.dumps(problem_doc(options={"cap": 0}))
+    path.write_text(doc.replace('"cap": 0', '"cap": ' + "9" * 5000))
+    rc, out = run_cli(["solve", str(path)])
+    assert (rc, out) == (2, "")
+    assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON: ")
+
+
 @pytest.mark.parametrize("error", QcommError.__subclasses__(), ids=lambda e: e.__name__)
-def test_cli_exit_code_follows_error_class(monkeypatch, error):
+def test_cli_exit_code_follows_error_class(monkeypatch, capsys, error):
     def fail(*args, **kwargs):
         raise error("injected")
 
     monkeypatch.setattr(solver, "solve", fail)
     rc, _ = run_cli(["example", "paper-3.1"])
     assert rc == (3 if issubclass(error, (NumericalFailure, SingularMatrix)) else 2)
+    # the library's message, also for an EnumerationCapExceeded without total and cap
+    assert capsys.readouterr().err.endswith(": injected\n")
+
+
+def test_cli_cap_error_past_digit_limit(monkeypatch, capsys):
+    # a total of more than 4300 digits is named by its size, not by str()
+    def fail(*args, **kwargs):
+        raise qc.EnumerationCapExceeded("injected", total=3 ** 10000, cap=5)
+
+    monkeypatch.setattr(solver, "solve", fail)
+    assert run_cli(["example", "paper-3.1"]) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: about 10^4771 solutions exceed cap 5; raise --cap or the problem's options.cap\n"
+    )
+
+
+def test_coefficient_tags_pose_the_same_equation(tmp_path):
+    # one equation, its coefficients tagged repr_poly (with trailing zeros),
+    # diag_coords (the repr_poly values at the eigenvalues) and matrix: equal
+    # counts, and the first two print byte-identical `qcomm solve` reports
+    q = {"circulant": [[1, 0], [2, 0], [0, 1], [4, 0]]}
+    ctx = problems.context_from_q_spec(q)
+    polys = [np.array([0.5, -1, 2j, 0]), np.array([1 + 1j, 0.25, 0, -0.0])]
+    tags = {
+        "repr_poly": [problems.emit(c) for c in polys],
+        "diag_coords": [problems.emit(qc.poly.evaluate(c, ctx.eigenvalues)) for c in polys],
+        "matrix": [problems.emit(algebra.from_repr_poly(ctx, c)) for c in polys],
+    }
+    reports = {}
+    for tag, entries in tags.items():
+        doc = problem_doc(q=q, coefficients=[{tag: e} for e in entries])
+        path = write_json(tmp_path / f"{tag}.json", doc)
+        rc, reports[tag] = run_cli(["solve", path])
+        assert rc == 0
+        eq = solver.MatrixPolyEquation(*problems.load_problem(path)[:2])
+        assert solver.count_solutions(eq) == ([2, 2, 2, 2], 16)
+    assert_same_text(reports["repr_poly"], reports["diag_coords"])
 
 
 def test_builtin_problems_parse():

@@ -1,5 +1,6 @@
 import io
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ import pytest
 import qcomm as qc
 from qcomm import algebra, cli, solver
 from qcomm.errors import DegreeZero, DimensionMismatch, EnumerationCapExceeded, NotMember
-from qcomm.poly import Polynomial
 
 from conftest import (
     horner_residual,
     match_matrices,
+    monic_from_roots,
     per_polynomial_reference,
     random_context,
+    repr_poly_equation,
     roots_by_index,
 )
 
@@ -99,10 +101,9 @@ def test_input_form_independence(rng):
     u2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     as_vec = [u1, u2]
     as_mat = [algebra.from_diag_coords(ctx, u) for u in (u1, u2)]
-    as_poly = [
-        Polynomial(np.linalg.solve(np.vander(ctx.eigenvalues, increasing=True), u))
-        for u in (u1, u2)
-    ]
+    # each u as representation-polynomial coefficients, rebuilt as a member
+    vander = np.vander(ctx.eigenvalues, increasing=True)
+    as_poly = [algebra.from_repr_poly(ctx, np.linalg.solve(vander, u)) for u in (u1, u2)]
     sets = [
         solver.solve(solver.MatrixPolyEquation(ctx, c)).solutions
         for c in (as_vec, as_mat, as_poly)
@@ -118,14 +119,11 @@ def test_diagonalizer_independence(rng):
         d = int(rng.integers(2, 5))
         w = rng.uniform(0.5, 2, d) * np.exp(1j * rng.uniform(0, 2 * np.pi, d))
         spec = qc.WeightedCirculantSpec.from_weights(w)
-        coeffs = [
-            Polynomial(rng.uniform(-2, 2, d) + 1j * rng.uniform(-2, 2, d))
-            for _ in range(2)
-        ]
+        coeffs = [rng.uniform(-2, 2, d) + 1j * rng.uniform(-2, 2, d) for _ in range(2)]
         ctx_s = qc.weighted_circulant_context(spec)
         ctx_g = qc.make_context(qc.weighted_circulant_matrix(spec))
-        xs = [s.X for s in solver.solve(solver.MatrixPolyEquation(ctx_s, coeffs)).solutions]
-        ys = [s.X for s in solver.solve(solver.MatrixPolyEquation(ctx_g, coeffs)).solutions]
+        xs = [s.X for s in solver.solve(repr_poly_equation(ctx_s, coeffs)).solutions]
+        ys = [s.X for s in solver.solve(repr_poly_equation(ctx_g, coeffs)).solutions]
         assert len(xs) == len(ys)
         assert match_matrices(xs, ys) < 1e-7
 
@@ -139,10 +137,10 @@ def test_diagonalizer_independence_double_root_needs_coarser_tol():
     q = qc.weighted_circulant_matrix(qc.WeightedCirculantSpec.from_weights([1, 1, 8]))
     ctx_gen = qc.make_context(q)
     vals = [
-        Polynomial(np.linalg.solve(np.vander(eq_struct.ctx.eigenvalues, increasing=True), v))
+        np.linalg.solve(np.vander(eq_struct.ctx.eigenvalues, increasing=True), v)
         for v in PAPER_DIAG
     ]
-    eq_gen = solver.MatrixPolyEquation(ctx_gen, vals)
+    eq_gen = repr_poly_equation(ctx_gen, vals)
     xs = [s.X for s in solver.solve(eq_struct).solutions]
     ys = [s.X for s in solver.solve(eq_gen, cluster_tol=1e-6).solutions]
     assert match_matrices(xs, ys) < 1e-7
@@ -233,7 +231,7 @@ def test_non_member_coefficient_rejected():
 
 def test_non_finite_coefficient_rejected():
     ctx = qc.companion_context([1, 2, 3])
-    for c in (np.array([np.inf, 0, 0]), Polynomial([np.nan, 1])):
+    for c in (np.array([np.inf, 0, 0]), np.full((3, 3), np.nan)):
         with pytest.raises(DimensionMismatch):
             solver.MatrixPolyEquation(ctx, [c])
 
@@ -339,8 +337,7 @@ def planted_coords(rng, d, n, bases):
         rs = base[rng.integers(0, bases, n)]
         near = rng.random(n) < 0.3
         rs[near] += 10.0 ** rng.integers(-9, -2, near.sum()) * np.exp(2j * np.pi * rng.random(near.sum()))
-        g = qc.from_roots(rs)
-        coords[:, i] = g.coeffs[n - 1 :: -1]
+        coords[:, i] = monic_from_roots(rs)[n - 1 :: -1]
     return coords
 
 
@@ -397,7 +394,7 @@ def test_scalar_blocks_of_one_row_match_one_block(monkeypatch):
     for i in range(d):
         rs = np.exp(2j * np.pi * rng.random(n))
         rs[: 10 * i] = rs[10 * i : 20 * i]  # 0, 10 and 20 double roots
-        coords[:, i] = qc.from_roots(rs).coeffs[n - 1 :: -1]
+        coords[:, i] = monic_from_roots(rs)[n - 1 :: -1]
     eq = solver.MatrixPolyEquation(qc.circulant_context(np.arange(1, d + 1)), list(coords))
     calls = []
     stack_roots = solver.poly.stack_roots
@@ -473,6 +470,20 @@ def test_solve_and_reports_build_no_solution_records(monkeypatch, capsys):
     assert keys == ["solution (0,)", "solution (1,)"]
     with pytest.raises(AssertionError, match="record was built"):
         ss.solutions
+
+
+def test_cap_error_past_digit_limit_keeps_exact_total():
+    # 3**10000 has 4772 digits, past the interpreter's default int-to-str
+    # limit of 4300: the message gives its size from the bit length. The
+    # context is a stub, as counting reads only d and the warnings.
+    d = 10 ** 4
+    eq = solver.MatrixPolyEquation(SimpleNamespace(d=d, warnings=[]), [[0] * d, [0] * d, [-1] * d])
+    with pytest.raises(EnumerationCapExceeded) as info:
+        solver.solve(eq)  # x^3 - 1 at every index
+    assert (info.value.total, info.value.cap) == (3 ** d, solver.DEFAULT_ENUMERATION_CAP)
+    assert str(info.value) == "about 10^4771 solutions exceed cap 1000000; pass truncate=True"
+    assert solver.describe_count(10 ** 4300) == "about 10^4300"
+    assert solver.describe_count(10 ** 4299) == "1" + "0" * 4299
 
 
 def test_enumeration_cap_error_carries_total_and_cap():
