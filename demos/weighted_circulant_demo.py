@@ -32,6 +32,9 @@ for i, g in enumerate(qc.build_scalar_polys(eq), start=1):
 
 result = qc.solve(eq)
 print(f"\ndistinct-root counts {tuple(result.counts)} -> {result.total} solutions")
+# the solution set's warnings: here g_2's count depends on the clustering tolerance
+for w in result.warnings:
+    print("warning:", w)
 for s in result.solutions:
     print(f"\nroot choice {s.indices}, residual {s.residual:.2e}:")
     print(np.round(s.X, 6))

@@ -7,6 +7,7 @@ polynomial at the eigenvalues). This module converts between the three
 views: matrix, representation polynomial, diagonal coordinates.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -53,6 +54,11 @@ class QContext:
     @property
     def d(self):
         return self.Q.shape[0]
+
+    @functools.cached_property
+    def verification_residual(self):
+        """||T^-1 Q T - diag(eigenvalues)||_F, computed on first use only."""
+        return linalg.frobenius(self.T_inv @ self.Q @ self.T - np.diag(self.eigenvalues))
 
 
 def assemble_context(q, eigs, T, T_inv, distinct_tol, provenance="generic"):
@@ -116,9 +122,11 @@ def is_member(ctx, a, tol=DEFAULT_TOL):
 
 
 def _member_diag(ctx, a, tol):
-    """Diagonal of T^-1 A T after is_member(ctx, a, tol) accepts A."""
-    if not is_member(ctx, a, tol):
-        raise NotMember("matrix does not commute with Q")
+    """Diagonal of T^-1 A T after is_member(ctx, a, tol) accepts A; else
+    NotMember carries commutator's residual and the bound tol * scale."""
+    resid, scale = commutator(ctx, a)
+    if not resid <= tol * scale:
+        raise NotMember("matrix does not commute with Q", residual=resid, bound=tol * scale)
     return np.einsum("ij,ji->i", ctx.T_inv @ a, ctx.T)
 
 

@@ -7,11 +7,12 @@ Subcommands: solve, check, repr, diag, example. Exit codes: 0 success,
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
 from . import algebra, errors, linalg, problems, solver
-from .errors import NotMember, NumericalFailure, ParseError, QcommError, SingularMatrix
+from .errors import IllConditionedWarning, NotMember, NumericalFailure, QcommError, SingularMatrix
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -59,9 +60,13 @@ def _write_json(out, doc, lists):
     out.write(parts[-1] + "\n")
 
 
+def _warn(lines):
+    """Each warning of a context, solution set or library call as one stderr line."""
+    sys.stderr.writelines(f"warning: {w}\n" for w in lines)
+
+
 def _report_solution_set(ctx, sol_set, as_json, out):
-    d, rows = ctx.d, max(1, solver._CHUNK_ENTRIES // ctx.d ** 2)
-    blocks = [slice(start, start + rows) for start in range(0, len(sol_set.us), rows)]
+    d, blocks = ctx.d, solver.blocks(len(sol_set.us), ctx.d ** 2)
     idx, us, xs, r = sol_set.indices, sol_set.us, sol_set.xs, sol_set.residuals[:, None]
     if as_json:
         doc = {
@@ -90,27 +95,23 @@ def _report_solution_set(ctx, sol_set, as_json, out):
         keys = np.array([str(tuple(row)) for row in idx[b].tolist()], dtype=object)[:, None]
         cells = np.concatenate([keys, r[b], _floats(xs[b])], axis=1, dtype=object).ravel().tolist()
         out.write(template * len(keys) % tuple(cells))
-    for w in sol_set.warnings:
-        sys.stderr.write(f"warning: {w}\n")
+    _warn(sol_set.warnings)
 
 
 def _solve_opts(args, opts):
-    merged = {
-        "cluster_tol": opts.get("cluster_tol"),
-        "residual_tol": opts.get("residual_tol", solver.DEFAULT_RESIDUAL_TOL),
-        "enumeration_cap": opts.get("cap", solver.DEFAULT_ENUMERATION_CAP),
-    }
-    for flag, key in zip(("cluster_tol", "residual_tol", "cap"), merged):
-        if getattr(args, flag, None) is not None:
-            merged[key] = getattr(args, flag)
-    return merged
+    """solve's keywords: a set flag beats the file's option; solve's defaults fill the rest."""
+    names = {"cluster_tol": "cluster_tol", "residual_tol": "residual_tol", "cap": "enumeration_cap"}
+    given = {**opts, **{k: getattr(args, k) for k in names if getattr(args, k, None) is not None}}
+    return {name: given[k] for k, name in names.items() if k in given}
 
 
-def _solve_problem(args, problem, out):
-    ctx, coeffs, opts = problem
-    eq = solver.MatrixPolyEquation(ctx, coeffs)
+def cmd_solve(args, out):
+    if args.command == "example":
+        ctx, coeffs, opts = problems.parse_problem(problems.BUILTIN_PROBLEMS[args.name], args.name)
+    else:
+        ctx, coeffs, opts = problems.load_problem(args.file)
     try:
-        sol_set = solver.solve(eq, **_solve_opts(args, opts))
+        sol_set = solver.solve(solver.MatrixPolyEquation(ctx, coeffs), **_solve_opts(args, opts))
     except errors.EnumerationCapExceeded as exc:
         if exc.total is None or exc.cap is None:
             raise
@@ -121,17 +122,9 @@ def _solve_problem(args, problem, out):
     return EXIT_OK
 
 
-def cmd_solve(args, out):
-    return _solve_problem(args, problems.load_problem(args.file), out)
-
-
-def cmd_example(args, out):
-    doc = problems.BUILTIN_PROBLEMS[args.name]
-    return _solve_problem(args, problems.parse_problem(doc, args.name), out)
-
-
 def cmd_check(args, out):
     ctx, coeffs, opts = problems.load_problem(args.problem)
+    _warn(ctx.warnings)
     x = problems.load_matrix_file(args.candidate)
     comm, comm_scale = algebra.commutator(ctx, x)
     tol = opts.get("residual_tol", solver.DEFAULT_RESIDUAL_TOL)
@@ -144,22 +137,18 @@ def cmd_check(args, out):
     return EXIT_OK if ok else EXIT_INVALID
 
 
-def _load_q_context(path):
-    doc = problems.load_json(path)
-    if "q" not in doc:
-        raise ParseError(f"{path}: missing 'q'")
-    return problems.context_from_q_spec(doc["q"], where=f"{path}:q")
-
-
 def cmd_repr(args, out):
-    ctx = _load_q_context(args.qfile)
+    ctx, _ = problems.parse_q_document(problems.load_json(args.qfile), args.qfile)
+    _warn(ctx.warnings)
     a = problems.load_matrix_file(args.afile)
     try:
-        p = algebra.repr_poly(ctx, a)
-    except NotMember:
-        comm, _ = algebra.commutator(ctx, a)
-        sys.stderr.write(f"not a member: commutation residual {comm:.6e}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", IllConditionedWarning)
+            p = algebra.repr_poly(ctx, a)
+    except NotMember as exc:
+        sys.stderr.write(f"not a member: commutation residual {exc.residual:.6e}\n")
         return EXIT_INVALID
+    _warn(w.message for w in caught)
     resid = linalg.frobenius(algebra.from_repr_poly(ctx, p) - a)
     coeffs = np.pad(p, (0, ctx.d - len(p)))  # repr_poly trims trailing zeros
     out.write("coefficients (ascending): " + ", ".join(_fmt_c(c) for c in coeffs) + "\n")
@@ -168,30 +157,29 @@ def cmd_repr(args, out):
 
 
 def cmd_diag(args, out):
-    ctx = _load_q_context(args.qfile)
-    verify = linalg.frobenius(ctx.T_inv @ ctx.Q @ ctx.T - np.diag(ctx.eigenvalues))
-    k = -(-ctx.d ** 2 // solver._CHUNK_ENTRIES)  # both reports write T in k blocks of rows
-    if args.json:
-        doc = {
-            "schema": problems.SCHEMA,
-            "provenance": ctx.provenance,
-            "eigenvalues": problems.emit(ctx.eigenvalues),
-            "cond_T": ctx.cond_T,
-            "min_gap": ctx.min_gap,
-            "verification_residual": verify,
-            "T": [_LIST],
-            "T_inv": [_LIST],
-        }
-        row = [[_HOLE] * 2] * ctx.d
-        _write_json(out, doc, [(row, np.array_split(_floats(m), k)) for m in (ctx.T, ctx.T_inv)])
+    ctx, _ = problems.parse_q_document(problems.load_json(args.qfile), args.qfile)
+    _warn(ctx.warnings)
+    rows = solver.blocks(ctx.d, ctx.d)  # both reports write T in these blocks of rows
+    if not args.json:
+        out.write(f"provenance: {ctx.provenance}\n")
+        out.write("eigenvalues: " + ", ".join(map(_fmt_c, ctx.eigenvalues)) + "\n")
+        out.write(f"cond_T: {ctx.cond_T:.6e}\nmin_gap: {ctx.min_gap:.6e}\n")
+        out.write(f"verification residual: {ctx.verification_residual:.6e}\nT:\n")
+        for block in map(_floats(ctx.T).__getitem__, rows):
+            out.write(_row_template(ctx.d) * len(block) % tuple(block.ravel().tolist()))
         return EXIT_OK
-    out.write(f"provenance: {ctx.provenance}\n")
-    out.write("eigenvalues: " + ", ".join(map(_fmt_c, ctx.eigenvalues)) + "\n")
-    out.write(f"cond_T: {ctx.cond_T:.6e}\n")
-    out.write(f"min_gap: {ctx.min_gap:.6e}\n")
-    out.write(f"verification residual: {verify:.6e}\nT:\n")
-    for block in np.array_split(_floats(ctx.T), k):
-        out.write(_row_template(ctx.d) * len(block) % tuple(block.ravel().tolist()))
+    doc = {
+        "schema": problems.SCHEMA,
+        "provenance": ctx.provenance,
+        "eigenvalues": problems.emit(ctx.eigenvalues),
+        "cond_T": ctx.cond_T,
+        "min_gap": ctx.min_gap,
+        "verification_residual": ctx.verification_residual,
+        "T": [_LIST],
+        "T_inv": [_LIST],
+    }
+    row = [[_HOLE] * 2] * ctx.d  # map() binds each m now; a generator would bind it late
+    _write_json(out, doc, [(row, map(_floats(m).__getitem__, rows)) for m in (ctx.T, ctx.T_inv)])
     return EXIT_OK
 
 
@@ -238,7 +226,7 @@ def build_parser():
     ep = sub.add_parser("example", help="run a built-in worked problem")
     ep.add_argument("name", choices=sorted(problems.BUILTIN_PROBLEMS))
     ep.add_argument("--json", action="store_true")
-    ep.set_defaults(func=cmd_example)
+    ep.set_defaults(func=cmd_solve)
 
     return p
 

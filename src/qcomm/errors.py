@@ -22,7 +22,11 @@ class NotDistinctEigenvalues(QcommError):
 
 
 class NotMember(QcommError):
-    """The matrix does not commute with Q to within tolerance."""
+    """The matrix does not commute with Q to within tolerance; see residual and bound."""
+
+    def __init__(self, message, residual=None, bound=None):
+        super().__init__(message)
+        self.residual, self.bound = residual, bound
 
 
 class ZeroPolynomial(QcommError):

@@ -79,40 +79,38 @@ def load_json(path):
     return doc
 
 
+def _variant(spec, variants, where):
+    """(tag, value) of a tagged union: an object holding exactly one of variants."""
+    if not isinstance(spec, dict):
+        raise ParseError(f"{where}: expected an object")
+    keys = [k for k in variants if k in spec]
+    if len(keys) != 1:
+        raise ParseError(f"{where}: exactly one of {variants} required")
+    return keys[0], spec[keys[0]]
+
+
 def context_from_q_spec(q_spec, distinct_tol=algebra.DEFAULT_TOL, where="q"):
     """Build a QContext from a parsed Q descriptor, choosing the structured
     closed form whenever the descriptor names one."""
-    if not isinstance(q_spec, dict):
-        raise ParseError(f"{where}: expected an object")
-    keys = [k for k in Q_VARIANTS if k in q_spec]
-    if len(keys) != 1:
-        raise ParseError(f"{where}: exactly one of {Q_VARIANTS} required")
-    kind = keys[0]
+    kind, value = _variant(q_spec, Q_VARIANTS, where)
     if kind == "matrix":
-        return algebra.make_context(parse_matrix(q_spec[kind], where), distinct_tol)
+        return algebra.make_context(parse_matrix(value, where), distinct_tol)
     if kind == "weighted_circulant":
-        spec = structured.WeightedCirculantSpec.from_weights(
-            parse_vector(q_spec[kind], where)
-        )
+        spec = structured.WeightedCirculantSpec.from_weights(parse_vector(value, where))
         return structured.weighted_circulant_context(spec, distinct_tol)
     if kind == "circulant":
-        return structured.circulant_context(parse_vector(q_spec[kind], where), distinct_tol)
-    return structured.companion_context(parse_vector(q_spec[kind], where), distinct_tol)
+        return structured.circulant_context(parse_vector(value, where), distinct_tol)
+    return structured.companion_context(parse_vector(value, where), distinct_tol)
 
 
 def coefficient_from_entry(entry, where, ctx):
     """A matrix or diag coordinates; repr_poly is evaluated at ctx's eigenvalues."""
-    if not isinstance(entry, dict):
-        raise ParseError(f"{where}: expected an object")
-    keys = [k for k in COEFF_VARIANTS if k in entry]
-    if len(keys) != 1:
-        raise ParseError(f"{where}: exactly one of {COEFF_VARIANTS} required")
-    kind = keys[0]
+    kind, value = _variant(entry, COEFF_VARIANTS, where)
     if kind == "matrix":
-        return parse_matrix(entry[kind], where)
+        return parse_matrix(value, where)
     if kind == "repr_poly":
-        return evaluate(parse_vector(entry[kind], where), ctx.eigenvalues)
-    return parse_vector(entry[kind], where)
+        return evaluate(parse_vector(value, where), ctx.eigenvalues)
+    return parse_vector(value, where)
 
 
 def load_problem(path):
@@ -133,9 +131,9 @@ def check_option(key, v, where="options"):
     return v
 
 
-def parse_problem(doc, path="<problem>"):
-    """(QContext, coefficient list, options dict) of a problem document,
-    its known options checked by check_option."""
+def parse_q_document(doc, path="<q>"):
+    """(QContext, options dict) of a Q document or problem document: its schema,
+    'q' and known options checked (by check_option), Q built at its distinct_tol."""
     _check_schema(doc, path)
     if "q" not in doc:
         raise ParseError(f"{path}: missing 'q'")
@@ -145,9 +143,14 @@ def parse_problem(doc, path="<problem>"):
     for key in OPTIONS:
         if key in opts:
             check_option(key, opts[key], path)
-    ctx = context_from_q_spec(
-        doc["q"], opts.get("distinct_tol", algebra.DEFAULT_TOL), f"{path}:q"
-    )
+    distinct_tol = opts.get("distinct_tol", algebra.DEFAULT_TOL)
+    return context_from_q_spec(doc["q"], distinct_tol, f"{path}:q"), opts
+
+
+def parse_problem(doc, path="<problem>"):
+    """(QContext, coefficient list, options dict) of a problem document,
+    its Q and options read by parse_q_document."""
+    ctx, opts = parse_q_document(doc, path)
     n = doc.get("degree")
     coeff_entries = doc.get("coefficients")
     if not isinstance(n, int) or n < 1:

@@ -25,6 +25,14 @@ DEFAULT_ENUMERATION_CAP = 10 ** 6
 _CHUNK_ENTRIES = 1 << 15
 
 
+def blocks(m, entries):
+    """The one block rule: consecutive slices covering range(m), each of
+    max(1, _CHUNK_ENTRIES // entries) items, where one item stands for
+    entries complex numbers (a d x d solution, an n x n companion, a row of T)."""
+    rows = max(1, _CHUNK_ENTRIES // entries)
+    return [slice(start, start + rows) for start in range(0, m, rows)]
+
+
 class MatrixPolyEquation:
     """A monic matrix polynomial equation over the commutant of ctx.Q.
 
@@ -160,14 +168,12 @@ def _clustered(asc, cluster_tol, factors):
     tol = algebra.DEFAULT_TOL if cluster_tol is None else cluster_tol
     tols = [tol * f for f in factors]
     d, n = asc.shape[0], asc.shape[1] - 1
-    rows = max(1, _CHUNK_ENTRIES // n ** 2)
-    blocks = [[] for _ in tols]
-    for start in range(0, d, rows):
-        block = asc[start : start + rows]
-        rs, s = poly.stack_roots(block), poly.scale(block)
-        for out, tol in zip(blocks, tols):
+    parts = [[] for _ in tols]
+    for b in blocks(d, n ** 2):
+        rs, s = poly.stack_roots(asc[b]), poly.scale(asc[b])
+        for out, tol in zip(parts, tols):
             out.append(poly.cluster_roots(rs, tol * s, tol))
-    return [[np.concatenate(parts) for parts in zip(*out)] for out in blocks]
+    return [[np.concatenate(arrays) for arrays in zip(*out)] for out in parts]
 
 
 def _mixed_radix(flat, counts):
@@ -229,11 +235,9 @@ def solve(
     us = reps[indices + np.cumsum([0] + counts[:-1])]  # index i's roots start at sum(counts[:i])
     xs = np.empty(us.shape + us.shape[-1:], dtype=complex)
     residuals, bounds = np.empty(len(us)), np.empty(len(us))
-    rows = max(1, _CHUNK_ENTRIES // eq.ctx.d ** 2)
-    for start in range(0, len(us), rows):
-        block = slice(start, start + rows)
-        xs[block] = algebra.from_diag_coords(eq.ctx, us[block])
-        residuals[block], bounds[block] = eq.certify(xs[block], residual_tol)
+    for b in blocks(len(us), eq.ctx.d ** 2):
+        xs[b] = algebra.from_diag_coords(eq.ctx, us[b])
+        residuals[b], bounds[b] = eq.certify(xs[b], residual_tol)
     for j in np.nonzero(~(residuals <= bounds))[0]:
         key = tuple(indices[j].tolist())
         warnings_out.append(f"solution {key}: residual {residuals[j]:.3e} exceeds {bounds[j]:.3e}")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .algebra import DEFAULT_TOL, assemble_context
 from .errors import NumericalFailure, ZeroWeight
 
@@ -66,7 +65,7 @@ def dft_matrix(d):
 
 def _verified(ctx, resid_bound):
     """ctx, once its closed-form diagonalization residual is within resid_bound."""
-    resid = linalg.frobenius(ctx.T_inv @ ctx.Q @ ctx.T - np.diag(ctx.eigenvalues))
+    resid = ctx.verification_residual
     if resid > resid_bound:
         raise NumericalFailure(
             f"closed-form diagonalization residual {resid:.3e} exceeds {resid_bound:.3e}"
@@ -148,14 +147,3 @@ def companion_context(lambdas, distinct_tol=DEFAULT_TOL):
     ctx = assemble_context(pi, lambdas, T, None, distinct_tol, "companion")
     lam_max = float(np.max(np.abs(lambdas)))
     return _verified(ctx, 1e-9 * (1.0 + max(1.0, lam_max) ** d) * max(1.0, np.linalg.cond(T)))
-
-
-__all__ = [
-    "WeightedCirculantSpec",
-    "weighted_circulant_matrix",
-    "weighted_circulant_context",
-    "dft_matrix",
-    "circulant_context",
-    "companion_matrix",
-    "companion_context",
-]

@@ -111,6 +111,20 @@ def test_repr_poly_rejects_non_member(rng):
     assert np.max(np.abs(algebra.diag_coords(ctx, near) - ctx.eigenvalues ** 2)) < 1e-5
 
 
+def test_not_member_carries_commutator_numbers(rng):
+    ctx = algebra.make_context(Q31)
+    noise = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    a = Q31 @ Q31 + 1e-3 * noise
+    resid, scale = algebra.commutator(ctx, a)
+    for call, tol in [
+        (algebra.repr_poly, algebra.DEFAULT_TOL),
+        (algebra.diag_coords, algebra.PROJECTION_TOL),
+    ]:
+        with pytest.raises(NotMember) as info:
+            call(ctx, a)
+        assert (info.value.residual, info.value.bound) == (resid, tol * scale)
+
+
 def test_diag_coords_projects_at_projection_tol(rng):
     # no tolerance knob: diag_coords projects exactly the matrices whose
     # commutator is within PROJECTION_TOL, a looser test than DEFAULT_TOL's

@@ -16,6 +16,7 @@ from conftest import (
     diag_json_reference,
     diag_text_reference,
     generic_problem_doc,
+    matrix_text_reference,
     near_member_problem_doc,
     solve_json_reference,
     solve_text_reference,
@@ -93,6 +94,7 @@ def test_reports_of_non_finite_numbers_match_reference(as_json):
 
 
 CIRCULANT_64 = {"circulant": problems.emit(np.random.default_rng(64).standard_normal(64) + 0.5j)}
+WEIGHTED_CIRCULANT_5 = {"weighted_circulant": [[1, 0], [2, 0], [3, 0], [4, 0], [8, 0]]}
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
@@ -100,11 +102,13 @@ CIRCULANT_64 = {"circulant": problems.emit(np.random.default_rng(64).standard_no
     "q, chunk_entries",
     [
         (CIRCULANT_64, None),
-        # T and T_inv in blocks of 13, 13, 13, 13 and 12 rows
+        # T and T_inv in blocks of 15, 15, 15, 15 and 4 rows
         (CIRCULANT_64, 1000),
-        ({"weighted_circulant": [[1, 0], [2, 0], [3, 0], [4, 0], [8, 0]]}, None),
+        (WEIGHTED_CIRCULANT_5, None),
+        # five blocks of one row, where ceil(d² / 7) = 4 blocks gave 2, 1, 1 and 1
+        (WEIGHTED_CIRCULANT_5, 7),
     ],
-    ids=["circulant-64", "circulant-64-blocks", "weighted-circulant-5"],
+    ids=["circulant-64", "circulant-64-blocks", "weighted-circulant-5", "weighted-circulant-5-rows"],
 )
 def test_diag_report_matches_reference(tmp_path, monkeypatch, q, chunk_entries, as_json):
     if chunk_entries is not None:
@@ -115,6 +119,30 @@ def test_diag_report_matches_reference(tmp_path, monkeypatch, q, chunk_entries, 
     verify = linalg.frobenius(ctx.T_inv @ ctx.Q @ ctx.T - np.diag(ctx.eigenvalues))
     assert rc == 0
     assert_same_text(out, (diag_json_reference if as_json else diag_text_reference)(ctx, verify))
+
+
+class Writes(io.StringIO):
+    """A StringIO that keeps the text of each write call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+        return super().write(text)
+
+
+def test_diag_text_writes_t_in_blocks_of_the_solver_rule(tmp_path, monkeypatch):
+    # 7 entries per block at d=5: solver.blocks gives one row per write
+    monkeypatch.setattr(solver, "_CHUNK_ENTRIES", 7)
+    path = write_json(tmp_path / "q.json", {"schema": problems.SCHEMA, "q": WEIGHTED_CIRCULANT_5})
+    out = Writes()
+    assert cli.main(["diag", path], out=out) == 0
+    t_writes = out.calls[[c.endswith("T:\n") for c in out.calls].index(True) + 1 :]
+    assert [c.count("\n") for c in t_writes] == [1] * 5
+    ctx = problems.context_from_q_spec(WEIGHTED_CIRCULANT_5)
+    assert "".join(t_writes) == matrix_text_reference(ctx.T)
 
 
 def test_json_numbers_are_json_dumps_of_each_value():

@@ -1,6 +1,8 @@
+import inspect
 import io
 import itertools
 import json
+import re
 import warnings
 
 import numpy as np
@@ -345,7 +347,9 @@ def test_cli_bad_option_exits_2(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize(
-    "flags, options", [(["--cap", "3"], {}), ([], {"cap": 3})], ids=["flag", "problem-option"]
+    "flags, options",
+    [(["--cap", "3"], {}), ([], {"cap": 3}), (["--cap", "3"], {"cap": 4})],
+    ids=["flag", "problem-option", "flag-over-problem-option"],
 )
 def test_cli_cap_message_names_the_cli_option(tmp_path, capsys, flags, options):
     # the library's advice, "pass truncate=True", names no option of the CLI
@@ -433,3 +437,106 @@ def test_builtin_problems_parse():
         ctx, coeffs, _ = problems.parse_problem(doc, name)
         assert ctx.d == 3
         assert len(coeffs) == 2
+
+
+@pytest.mark.parametrize(
+    "key, flag, file_value, flag_text, flag_value, keyword",
+    [
+        ("cluster_tol", "--cluster-tol", 1e-6, "1e-4", 1e-4, "cluster_tol"),
+        ("residual_tol", "--residual-tol", 1e-7, "1e-5", 1e-5, "residual_tol"),
+        ("cap", "--cap", 50, "60", 60, "enumeration_cap"),
+    ],
+)
+def test_cli_solve_option_precedence(
+    tmp_path, monkeypatch, key, flag, file_value, flag_text, flag_value, keyword
+):
+    # a flag beats the file, and the file beats solve's own default
+    solve, seen = solver.solve, []
+
+    def spy(eq, **kwargs):
+        bound = inspect.signature(solve).bind(eq, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments[keyword])
+        return solve(eq, **kwargs)
+
+    monkeypatch.setattr(solver, "solve", spy)
+    plain = write_json(tmp_path / "plain.json", problem_doc())
+    in_file = write_json(tmp_path / "file.json", problem_doc(options={key: file_value}))
+    for argv in ([plain], [in_file], [plain, flag, flag_text], [in_file, flag, flag_text]):
+        assert run_cli(["solve", *argv])[0] == 0
+    default = inspect.signature(solve).parameters[keyword].default
+    assert seen == [default, file_value, flag_value, flag_value]
+
+
+NEAR_DOUBLE_Q = {"matrix": problems.emit(np.diag([1, 1 + 1e-9, 2]).astype(complex))}
+
+
+def test_cli_diag_and_repr_read_options_as_solve_does(tmp_path, capsys):
+    # a gap of 1e-9 passes at the file's distinct_tol, on every subcommand
+    doc = problem_doc(q=NEAR_DOUBLE_Q, options={"distinct_tol": 1e-12})
+    qfile = write_json(tmp_path / "q.json", doc)
+    afile = write_json(tmp_path / "a.json", {"schema": "qcomm/1", "matrix": NEAR_DOUBLE_Q["matrix"]})
+    for argv in (["solve", qfile], ["diag", qfile], ["diag", qfile, "--json"], ["repr", qfile, afile]):
+        rc, out = run_cli(argv)
+        assert rc == 0 and out
+    capsys.readouterr()
+    # and a malformed option is rejected by diag and repr as by solve
+    bad = write_json(
+        tmp_path / "bad.json",
+        {"schema": "qcomm/1", "q": NEAR_DOUBLE_Q, "options": {"cap": 0, "distinct_tol": "x"}},
+    )
+    for argv in (["solve", bad], ["diag", bad], ["diag", bad, "--json"], ["repr", bad, afile]):
+        assert run_cli(argv) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: {bad}: option 'distinct_tol' must be a finite non-negative number\n"
+        )
+
+
+def companion_files(tmp_path, nodes):
+    """(context, problem file X - Q = O, matrix file of Q) for the companion matrix of nodes."""
+    q = {"companion_eigenvalues": [[k, 0] for k in nodes]}
+    ctx = problems.context_from_q_spec(q)
+    doc = problem_doc(q=q, degree=1, coefficients=[{"matrix": problems.emit(-ctx.Q)}])
+    qfile = write_json(tmp_path / "q.json", doc)
+    afile = write_json(tmp_path / "a.json", {"schema": "qcomm/1", "matrix": problems.emit(ctx.Q)})
+    return ctx, qfile, afile
+
+
+@pytest.mark.parametrize("command", ["diag", "diag-json", "repr", "check", "solve"])
+def test_cli_context_warnings_reach_stderr(tmp_path, capsys, command):
+    ctx, qfile, afile = companion_files(tmp_path, range(1, 9))
+    assert ctx.warnings == ["ill-conditioned eigenbasis: cond_T ~ 1.48e+09"]
+    argv = {
+        "diag": ["diag", qfile],
+        "diag-json": ["diag", qfile, "--json"],
+        "repr": ["repr", qfile, afile],
+        "check": ["check", qfile, afile],
+        "solve": ["solve", qfile],
+    }[command]
+    rc, out = run_cli(argv)
+    assert rc == 0 and out
+    assert capsys.readouterr().err == "".join(f"warning: {w}\n" for w in ctx.warnings)
+
+
+def test_cli_repr_renders_library_warnings(tmp_path, capsys):
+    # at nodes 1..9 repr_poly warns of its Vandermonde system; the CLI writes
+    # that as a warning line too, not as Python's warning display
+    ctx, qfile, afile = companion_files(tmp_path, range(1, 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out = run_cli(["repr", qfile, afile])
+    assert rc == 0 and out.startswith("coefficients (ascending): ")
+    err = capsys.readouterr().err.splitlines()
+    assert err[:-1] == [f"warning: {w}" for w in ctx.warnings]
+    assert re.fullmatch(
+        r"warning: Vandermonde system condition ~ \S+; coefficients may be inaccurate", err[-1]
+    )
+
+
+def test_cli_repr_non_member_message(tmp_path, capsys):
+    ctx, qfile, _ = companion_files(tmp_path, [1, 2, 3])
+    a = ctx.Q.T
+    afile = write_json(tmp_path / "nonmember.json", {"schema": "qcomm/1", "matrix": problems.emit(a)})
+    assert run_cli(["repr", qfile, afile]) == (2, "")
+    comm, _ = algebra.commutator(ctx, a)
+    assert capsys.readouterr().err == f"not a member: commutation residual {comm:.6e}\n"

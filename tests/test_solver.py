@@ -414,6 +414,19 @@ def test_scalar_blocks_of_one_row_match_one_block(monkeypatch):
     assert results[0] == results[1]
 
 
+def test_blocks_rule_edge_cases(monkeypatch):
+    chunk = solver._CHUNK_ENTRIES
+    assert solver.blocks(0, 16) == []
+    # an item past a whole chunk still gets a block of its own
+    assert solver.blocks(3, chunk + 1) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    # one entry per item: blocks of a whole chunk, the last one short
+    covered = [range(chunk + 5)[b] for b in solver.blocks(chunk + 5, 1)]
+    assert covered == [range(0, chunk), range(chunk, chunk + 5)]
+    # the rule reads _CHUNK_ENTRIES when it is called
+    monkeypatch.setattr(solver, "_CHUNK_ENTRIES", 7)
+    assert [range(5)[b] for b in solver.blocks(5, 2)] == [range(0, 3), range(3, 5)]
+
+
 def test_equation_without_coefficients_raises_degree_zero():
     with pytest.raises(DegreeZero):
         solver.MatrixPolyEquation(qc.companion_context([1, 2, 3]), [])

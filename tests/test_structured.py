@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcomm import linalg, structured
+from qcomm import algebra, linalg, structured
 from qcomm.errors import NotDistinctEigenvalues, ZeroWeight
 from qcomm.poly import evaluate
 from qcomm.structured import (
@@ -161,6 +161,22 @@ def test_structured_contexts_warn_when_ill_conditioned():
     ctx = companion_context(range(1, 9))
     assert ctx.cond_T > 1e8
     assert any(w.startswith("ill-conditioned eigenbasis") for w in ctx.warnings)
+
+
+def test_verification_residual_is_computed_once_and_only_when_needed(rng):
+    # a closed form checks its residual while it is built, and keeps it; an
+    # eigensolver context computes it on first use only
+    q = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    for ctx, computed in [
+        (circulant_context([1, 2, 3, 5]), True),
+        (weighted_circulant_context(spec(1, 2, 3)), True),
+        (companion_context([1, 2, 3]), True),
+        (algebra.make_context(q), False),
+    ]:
+        assert ("verification_residual" in vars(ctx)) is computed
+        expected = linalg.frobenius(ctx.T_inv @ ctx.Q @ ctx.T - np.diag(ctx.eigenvalues))
+        assert ctx.verification_residual == expected
+        assert vars(ctx)["verification_residual"] == expected
 
 
 def test_companion_context_rejects_repeated():
