@@ -8,6 +8,7 @@ views: matrix, representation polynomial, diagonal coordinates.
 """
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -20,6 +21,7 @@ from .errors import (
     NotDistinctEigenvalues,
     NotMember,
     NumericalFailure,
+    ParseError,
     SingularMatrix,
 )
 from .poly import evaluate, trim
@@ -28,6 +30,30 @@ DEFAULT_TOL = 1e-8
 # diag_coords' membership tolerance, looser than DEFAULT_TOL: a coefficient built in
 # floating point commutes with Q only up to rounding, and the equation uses its projection.
 PROJECTION_TOL = 1e-6
+INDEX_MAX = int(np.iinfo(np.intp).max)  # the largest row count numpy can index
+
+
+def _finite(x):
+    """Whether x is a number (int or float, not bool) with a finite float value."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an integer past the float range
+        return False
+
+
+def check_option(key, v, where="options"):
+    """v, checked as the value of key from a problem file, a flag or a library call:
+    cap, enumeration_cap and degree must be integers in [1, INDEX_MAX], the tolerances
+    finite non-negative numbers. A bad value raises ParseError naming its key."""
+    name = repr(key) if key == "degree" else f"option {key!r}"
+    if key in ("cap", "enumeration_cap", "degree"):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+            raise ParseError(f"{where}: {name} must be a positive integer")
+        if v > INDEX_MAX:
+            raise ParseError(f"{where}: {name} must be at most {INDEX_MAX}")
+    elif not (_finite(v) and v >= 0):
+        raise ParseError(f"{where}: {name} must be a finite non-negative number")
+    return v
 
 
 @dataclass
@@ -69,8 +95,9 @@ def assemble_context(q, eigs, T, T_inv, distinct_tol, provenance="generic"):
     that linalg.check_distinct does not accept, and warns when cond_T
     exceeds 1e8, whatever produced the basis. T_inv=None inverts T by
     pivoted LU once both checks have passed (coincident eigenvalues make T
-    singular).
+    singular). distinct_tol is checked first, by check_option.
     """
+    check_option("distinct_tol", distinct_tol, f"{provenance} context")
     eigs = np.asarray(eigs, dtype=complex)
     if not all(np.isfinite(a).all() for a in (q, eigs, T, T_inv) if a is not None):
         raise NumericalFailure(f"{provenance} diagonalization has non-finite entries")

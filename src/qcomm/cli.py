@@ -99,9 +99,11 @@ def _report_solution_set(ctx, sol_set, as_json, out):
 
 
 def _solve_opts(args, opts):
-    """solve's keywords: a set flag beats the file's option; solve's defaults fill the rest."""
+    """solve's keywords: a set flag, checked as file options are, beats the file's option;
+    solve's defaults fill the rest."""
     names = {"cluster_tol": "cluster_tol", "residual_tol": "residual_tol", "cap": "enumeration_cap"}
-    given = {**opts, **{k: getattr(args, k) for k in names if getattr(args, k, None) is not None}}
+    flags = {k: v for k in names if (v := getattr(args, k, None)) is not None}
+    given = {**opts, **{k: algebra.check_option(k, v, "command line") for k, v in flags.items()}}
     return {name: given[k] for k, name in names.items() if k in given}
 
 
@@ -183,17 +185,6 @@ def cmd_diag(args, out):
     return EXIT_OK
 
 
-def _checked(key, convert):
-    """argparse type of a solve flag: convert() the text, then apply the
-    problem-file rule, whose ParseError argparse lets through to main."""
-
-    def value(text):
-        return problems.check_option(key, convert(text), "command line")
-
-    value.__name__ = convert.__name__  # argparse names it when convert() fails
-    return value
-
-
 def build_parser():
     p = argparse.ArgumentParser(
         prog="qcomm",
@@ -205,7 +196,7 @@ def build_parser():
     sp.add_argument("file")
     sp.add_argument("--json", action="store_true")
     for key, convert in (("cluster_tol", float), ("residual_tol", float), ("cap", int)):
-        sp.add_argument("--" + key.replace("_", "-"), type=_checked(key, convert))
+        sp.add_argument("--" + key.replace("_", "-"), type=convert)
     sp.set_defaults(func=cmd_solve)
 
     cp = sub.add_parser("check", help="verify a candidate solution matrix")

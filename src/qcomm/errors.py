@@ -50,7 +50,7 @@ class EnumerationCapExceeded(QcommError):
 
 
 class ParseError(QcommError):
-    """A problem file is malformed."""
+    """A problem file, command-line flag or library option has a malformed or out-of-range value."""
 
 
 class IllConditionedWarning(UserWarning):

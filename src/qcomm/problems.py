@@ -8,7 +8,6 @@ whose entries are tagged "matrix", "repr_poly", or "diag_coords".
 """
 
 import json
-import math
 
 import numpy as np
 
@@ -23,16 +22,8 @@ COEFF_VARIANTS = ("matrix", "repr_poly", "diag_coords")
 OPTIONS = ("cluster_tol", "residual_tol", "distinct_tol", "cap")
 
 
-def _finite(x):
-    """Whether x is a number (int or float, not bool) with a finite float value."""
-    try:
-        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-    except OverflowError:  # an integer past the float range
-        return False
-
-
 def parse_complex(v, where="value"):
-    if not isinstance(v, (list, tuple)) or len(v) != 2 or not all(map(_finite, v)):
+    if not isinstance(v, (list, tuple)) or len(v) != 2 or not all(map(algebra._finite, v)):
         raise ParseError(
             f"{where}: complex scalar must be a two-element [re, im] array of finite numbers"
         )
@@ -118,22 +109,9 @@ def load_problem(path):
     return parse_problem(load_json(path), path)
 
 
-def check_option(key, v, where="options"):
-    """v, checked as the value of option key, from a problem file or the
-    command line: the tolerances cluster_tol, residual_tol and distinct_tol
-    must be finite non-negative numbers, and cap a positive integer; a bad
-    value raises ParseError naming its key."""
-    if key == "cap":
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise ParseError(f"{where}: option 'cap' must be a positive integer")
-    elif not (_finite(v) and v >= 0):
-        raise ParseError(f"{where}: option {key!r} must be a finite non-negative number")
-    return v
-
-
 def parse_q_document(doc, path="<q>"):
     """(QContext, options dict) of a Q document or problem document: its schema,
-    'q' and known options checked (by check_option), Q built at its distinct_tol."""
+    'q' and known options checked (by algebra.check_option), Q built at its distinct_tol."""
     _check_schema(doc, path)
     if "q" not in doc:
         raise ParseError(f"{path}: missing 'q'")
@@ -142,19 +120,17 @@ def parse_q_document(doc, path="<q>"):
         raise ParseError(f"{path}: 'options' must be an object")
     for key in OPTIONS:
         if key in opts:
-            check_option(key, opts[key], path)
+            algebra.check_option(key, opts[key], path)
     distinct_tol = opts.get("distinct_tol", algebra.DEFAULT_TOL)
     return context_from_q_spec(doc["q"], distinct_tol, f"{path}:q"), opts
 
 
 def parse_problem(doc, path="<problem>"):
     """(QContext, coefficient list, options dict) of a problem document,
-    its Q and options read by parse_q_document."""
+    its Q and options read by parse_q_document, its degree by algebra.check_option."""
     ctx, opts = parse_q_document(doc, path)
-    n = doc.get("degree")
+    n = algebra.check_option("degree", doc.get("degree"), path)
     coeff_entries = doc.get("coefficients")
-    if not isinstance(n, int) or n < 1:
-        raise ParseError(f"{path}: 'degree' must be a positive integer")
     if not isinstance(coeff_entries, list) or len(coeff_entries) != n:
         raise ParseError(f"{path}: 'coefficients' must list exactly {n} entries")
     coeffs = [

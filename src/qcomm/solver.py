@@ -161,11 +161,12 @@ def describe_count(n):
 
 
 def _clustered(asc, cluster_tol, factors):
-    """For tol = cluster_tol (algebra.DEFAULT_TOL if None) times each of
-    factors, poly.cluster_roots's (reps, mults, counts) of all rows of asc:
-    one poly.stack_roots call per block of rows, and one poly.cluster_roots
-    call per block and tolerance."""
+    """For tol = cluster_tol (algebra.DEFAULT_TOL if None, else checked by
+    algebra.check_option) times each of factors, poly.cluster_roots's
+    (reps, mults, counts) of all rows of asc: one poly.stack_roots call per
+    block of rows, and one poly.cluster_roots call per block and tolerance."""
     tol = algebra.DEFAULT_TOL if cluster_tol is None else cluster_tol
+    algebra.check_option("cluster_tol", tol, "solver")
     tols = [tol * f for f in factors]
     d, n = asc.shape[0], asc.shape[1] - 1
     parts = [[] for _ in tols]
@@ -211,8 +212,10 @@ def solve(
     in chunks: each chunk is a stack of candidates T diag(u) T^-1, members by
     construction, formed by one algebra.from_diag_coords call and checked by
     one eq.certify call; no per-solution object is built. Residuals over the
-    bound are reported in warnings, never dropped.
+    bound are reported in warnings, never dropped. algebra.check_option checks
+    cluster_tol and enumeration_cap, not residual_tol: NaN flags every solution.
     """
+    algebra.check_option("enumeration_cap", enumeration_cap, "solver")
     gs = build_scalar_polys(eq)
     # a count that moves at 4x or 1/4 of tol sits on the numerical knife edge
     (reps, mults, counts), (*_, merged), (*_, split) = _clustered(gs, cluster_tol, [1, 4, 1 / 4])

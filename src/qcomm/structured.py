@@ -54,13 +54,14 @@ def weighted_circulant_matrix(spec):
 def dft_matrix(d):
     """Unitary DFT matrix: F[r, c] = omega**(r c) / sqrt(d), omega = e^{2 pi i / d}.
 
-    Each entry is exp of its angle reduced mod 2 pi (exponent r c mod d),
-    so rounding does not grow with r c.
+    The d roots of unity omega**k are computed once, each as exp of its own
+    angle, and entry (r, c) takes root r c mod d, so rounding does not grow
+    with r c.
     """
     if d < 1:
         raise ValueError("d must be positive")
     idx = np.arange(d)
-    return np.exp(2j * np.pi * (np.outer(idx, idx) % d) / d) / np.sqrt(d)
+    return np.exp(2j * np.pi * idx / d)[np.outer(idx, idx) % d] / np.sqrt(d)
 
 
 def _verified(ctx, resid_bound):

@@ -318,32 +318,52 @@ def test_cli_defective_q_exits_3(tmp_path, capsys, jordan):
     assert "minimum eigenvalue gap 0.000e+00" in err and "defective" in err
 
 
+# x^2 = 1 at each of the 70 eigenvalues of the cyclic shift: 2**70 solutions
+SHIFT_70_PROBLEM = problem_doc(
+    q={"circulant": [[0, 0], [1, 0]] + [[0, 0]] * 68},
+    coefficients=[{"diag_coords": [[0, 0]] * 70}, {"diag_coords": [[-1, 0]] * 70}],
+)
+TOL_RULE = "must be a finite non-negative number"
+CAP_RULE = "option 'cap' must be a positive integer"
+CAP_MAX = "option 'cap' must be at most 9223372036854775807"
+
+
+def bad_option(key, value, message, doc=None, id=None):
+    return pytest.param(key, value, message, doc or problem_doc(), id=id or f"{key}-{value}")
+
+
 @pytest.mark.parametrize(
-    "key, value",
+    "key, value, message, doc",
     [
-        ("cluster_tol", "abc"),
-        ("residual_tol", "abc"),
-        ("distinct_tol", [1]),
-        ("cap", 1.5),
-        pytest.param("residual_tol", 10**400, id="residual_tol-int-past-float-range"),
+        bad_option("cluster_tol", "abc", f"option 'cluster_tol' {TOL_RULE}"),
+        bad_option("residual_tol", "abc", f"option 'residual_tol' {TOL_RULE}"),
+        bad_option("distinct_tol", [1], f"option 'distinct_tol' {TOL_RULE}", id="distinct_tol-value2"),
+        bad_option("cap", 1.5, CAP_RULE),
+        bad_option("residual_tol", 10**400, f"option 'residual_tol' {TOL_RULE}",
+                   id="residual_tol-int-past-float-range"),
         # the same rule on the command line: these once solved with exit 0
-        ("--cluster-tol", "-1"),
-        ("--cluster-tol", "nan"),
-        ("--residual-tol", "nan"),
-        ("--residual-tol", "inf"),
-        ("--cap", "0"),
+        bad_option("--cluster-tol", "-1", f"option 'cluster_tol' {TOL_RULE}"),
+        bad_option("--cluster-tol", "nan", f"option 'cluster_tol' {TOL_RULE}"),
+        bad_option("--residual-tol", "nan", f"option 'residual_tol' {TOL_RULE}"),
+        bad_option("--residual-tol", "inf", f"option 'residual_tol' {TOL_RULE}"),
+        bad_option("--cap", "0", CAP_RULE),
+        # the same integer rule for the degree: true was once solved as degree 1
+        bad_option("degree", True, "'degree' must be a positive integer"),
+        # a cap past the index range once ended in np.arange's ValueError traceback
+        bad_option("cap", 10**30, CAP_MAX, SHIFT_70_PROBLEM, id="cap-10**30-on-2**70-solutions"),
+        bad_option("--cap", str(10**30), CAP_MAX, SHIFT_70_PROBLEM,
+                   id="--cap-10**30-on-2**70-solutions"),
     ],
 )
-def test_cli_bad_option_exits_2(tmp_path, capsys, key, value):
-    if key.startswith("--"):
-        path = write_json(tmp_path / "p.json", problem_doc())
-        rc, out = run_cli(["solve", path, key, value])
-        key = key[2:].replace("-", "_")
-    else:
-        rc, out = run_cli(["solve", write_json(tmp_path / "p.json", problem_doc(options={key: value}))])
+def test_cli_bad_option_exits_2(tmp_path, capsys, key, value, message, doc):
+    flags = [key, value] if key.startswith("--") else []
+    if not flags:
+        doc = {**doc, key: value} if key == "degree" else {**doc, "options": {key: value}}
+    path = write_json(tmp_path / "p.json", doc)
+    rc, out = run_cli(["solve", path, *flags])
     assert rc == 2
     assert out == ""
-    assert repr(key) in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {'command line' if flags else path}: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,13 @@ import pytest
 
 import qcomm as qc
 from qcomm import algebra, cli, solver
-from qcomm.errors import DegreeZero, DimensionMismatch, EnumerationCapExceeded, NotMember
+from qcomm.errors import (
+    DegreeZero,
+    DimensionMismatch,
+    EnumerationCapExceeded,
+    NotMember,
+    ParseError,
+)
 
 from conftest import (
     horner_residual,
@@ -436,6 +442,38 @@ def test_nan_residual_tol_flags_every_solution():
     ss = solver.solve(paper31_eq(), residual_tol=float("nan"))
     flagged = [w for w in ss.warnings if w.startswith("solution ")]
     assert len(flagged) == len(ss.solutions) == 4
+
+
+@pytest.mark.parametrize(
+    "call, kwargs",
+    [
+        # these once counted [2, 2, 2], 8 solutions, where the paper has [2, 1, 2], 4
+        ("count_solutions", {"cluster_tol": -1}),
+        ("count_solutions", {"cluster_tol": float("nan")}),
+        ("solve", {"cluster_tol": -1}),
+        ("solve", {"cluster_tol": float("nan")}),
+        # these once raised EnumerationCapExceeded, or truncated "at 2.5" and "at True"
+        ("solve", {"enumeration_cap": 0, "truncate": True}),
+        ("solve", {"enumeration_cap": 2.5, "truncate": True}),
+        ("solve", {"enumeration_cap": True, "truncate": True}),
+        # this once accepted a Q with a repeated eigenvalue
+        ("make_context", {"distinct_tol": -1}),
+    ],
+    ids=[
+        "count_solutions-cluster_tol--1", "count_solutions-cluster_tol-nan",
+        "solve-cluster_tol--1", "solve-cluster_tol-nan",
+        "solve-enumeration_cap-0", "solve-enumeration_cap-2.5", "solve-enumeration_cap-True",
+        "make_context-distinct_tol--1",
+    ],
+)
+def test_library_rejects_bad_option_values(call, kwargs):
+    if call == "make_context":
+        f, arg = algebra.make_context, np.diag([1.0, 1.0, 2.0])
+    else:
+        f, arg = getattr(solver, call), paper32_eq()
+    key = next(k for k in kwargs if k != "truncate")
+    with pytest.raises(ParseError, match=f"option '{key}' must be"):
+        f(arg, **kwargs)
 
 
 @pytest.mark.parametrize("cap", [None, 10], ids=["full", "truncated"])

@@ -61,6 +61,14 @@ def test_dft_unitary(d):
     assert np.linalg.norm(f @ f.conj().T - np.eye(d), "fro") <= 1e-12 * d
 
 
+@pytest.mark.parametrize("d", [1, 7, 64, 257])
+def test_dft_matches_one_exponential_per_entry(d):
+    # the d roots of unity, indexed by r c mod d, are the entries exp gives one by one
+    idx = np.arange(d)
+    one_by_one = np.exp(2j * np.pi * (np.outer(idx, idx) % d) / d) / np.sqrt(d)
+    assert dft_matrix(d).tobytes() == one_by_one.tobytes()
+
+
 def test_dft_unitary_to_rounding_at_large_d():
     # entries come from reduced angles, so F F^H stays at rounding level
     d = 320
