@@ -43,16 +43,18 @@ def _finite(x):
 
 def check_option(key, v, where="options"):
     """v, checked as the value of key from a problem file, a flag or a library call:
-    cap, enumeration_cap and degree must be integers in [1, INDEX_MAX], the tolerances
-    finite non-negative numbers. A bad value raises ParseError naming its key."""
+    cap, enumeration_cap and degree must be integers in [1, INDEX_MAX], cluster_tol a finite
+    positive number, the other tolerances finite non-negative numbers. A bad value raises
+    ParseError naming its key."""
     name = repr(key) if key == "degree" else f"option {key!r}"
     if key in ("cap", "enumeration_cap", "degree"):
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
             raise ParseError(f"{where}: {name} must be a positive integer")
         if v > INDEX_MAX:
             raise ParseError(f"{where}: {name} must be at most {INDEX_MAX}")
-    elif not (_finite(v) and v >= 0):
-        raise ParseError(f"{where}: {name} must be a finite non-negative number")
+    elif not (_finite(v) and (v > 0 if key == "cluster_tol" else v >= 0)):
+        rule = "positive" if key == "cluster_tol" else "non-negative"
+        raise ParseError(f"{where}: {name} must be a finite {rule} number")
     return v
 
 
@@ -201,14 +203,6 @@ def from_diag_coords(ctx, u):
 
 
 def from_repr_poly(ctx, c):
-    """Ascending coefficients c evaluated at Q: by Horner in powers of Q up to
-    degree d-1 (after poly.trim), above that from c's values at the eigenvalues,
-    the same member by Cayley–Hamilton and numerically steadier than Q**d."""
-    c = trim(c)
-    if len(c) > ctx.d:
-        return from_diag_coords(ctx, evaluate(c, ctx.eigenvalues))
-    eye = np.eye(ctx.d, dtype=complex)
-    acc = np.zeros_like(ctx.Q)
-    for a in c[::-1]:
-        acc = acc @ ctx.Q + a * eye
-    return acc
+    """Ascending coefficients c evaluated at Q: the member whose diagonal coordinates
+    are c's values at the eigenvalues, for any length of c (Cayley–Hamilton)."""
+    return from_diag_coords(ctx, evaluate(c, ctx.eigenvalues))

@@ -110,8 +110,8 @@ def load_problem(path):
 
 
 def parse_q_document(doc, path="<q>"):
-    """(QContext, options dict) of a Q document or problem document: its schema,
-    'q' and known options checked (by algebra.check_option), Q built at its distinct_tol."""
+    """(QContext, options dict) of a Q document or problem document: its schema, 'q' and
+    options checked (OPTIONS by algebra.check_option, then no other key), Q at its distinct_tol."""
     _check_schema(doc, path)
     if "q" not in doc:
         raise ParseError(f"{path}: missing 'q'")
@@ -121,6 +121,9 @@ def parse_q_document(doc, path="<q>"):
     for key in OPTIONS:
         if key in opts:
             algebra.check_option(key, opts[key], path)
+    unknown = sorted(set(opts) - set(OPTIONS))
+    if unknown:
+        raise ParseError(f"{path}: unknown option {unknown[0]!r}")
     distinct_tol = opts.get("distinct_tol", algebra.DEFAULT_TOL)
     return context_from_q_spec(doc["q"], distinct_tol, f"{path}:q"), opts
 

@@ -81,8 +81,8 @@ def weighted_circulant_context(spec, distinct_tol=DEFAULT_TOL):
     L = (k/k_d) diag(1, lam/k_1, lam^2/(k_1 k_2), ...) conjugates Q to
     lam * (cyclic shift), and T = L F^-1 then gives
     T^-1 Q T = diag(lam w^d, lam w^{d-1}, ..., lam w), w = e^{2 pi i / d};
-    the i-th eigenvalue is lam * w^(d-i+1). As F is unitary, cond_2(T) is
-    max|L| / min|L|.
+    the i-th eigenvalue is lam * w^(d-i+1), w's power taken as exp of its
+    reduced angle, as in dft_matrix. As F is unitary, cond_2(T) is max|L| / min|L|.
     """
     w = np.asarray(spec.weights, dtype=complex)
     d = len(w)
@@ -91,8 +91,7 @@ def weighted_circulant_context(spec, distinct_tol=DEFAULT_TOL):
     F = dft_matrix(d)
     T = diag[:, None] * F.conj().T
     T_inv = F / diag[None, :]
-    omega = np.exp(2j * np.pi / d)
-    eigs = lam * omega ** (np.arange(d, 0, -1) % d)
+    eigs = lam * np.exp(2j * np.pi * (-np.arange(d) % d) / d)
     cond = float(np.max(np.abs(diag)) / np.min(np.abs(diag)))
     ctx = assemble_context(
         weighted_circulant_matrix(spec), eigs, T, T_inv, distinct_tol, "weighted-circulant"

@@ -7,6 +7,7 @@ from qcomm.poly import evaluate
 from qcomm.structured import (
     WeightedCirculantSpec,
     circulant_context,
+    companion_context,
     weighted_circulant_context,
     weighted_circulant_matrix,
 )
@@ -166,6 +167,25 @@ def test_from_repr_poly_high_degree_reduced(rng):
     a = algebra.from_repr_poly(ctx, p)
     assert algebra.is_member(ctx, a)
     assert np.max(np.abs(algebra.diag_coords(ctx, a) - evaluate(p, ctx.eigenvalues))) < 1e-8
+
+
+@pytest.mark.parametrize("length", [2, 4, 7], ids=["below-d", "d", "above-d"])
+@pytest.mark.parametrize("kind", ["generic", "circulant", "weighted-circulant", "companion"])
+def test_from_repr_poly_is_from_diag_coords_of_values(rng, kind, length):
+    # a repr_poly coefficient is the same numbers as a matrix and as coordinates
+    d = 4
+    z = rng.uniform(0.5, 2, d) * np.exp(1j * rng.uniform(0, 2 * np.pi, d))
+    ctx = {
+        "generic": lambda: random_context(rng, d),
+        "circulant": lambda: circulant_context(z),
+        "weighted-circulant": lambda: weighted_circulant_context(
+            WeightedCirculantSpec.from_weights(z)
+        ),
+        "companion": lambda: companion_context([1, 2, 3, 1j]),
+    }[kind]()
+    c = rng.uniform(-1, 1, length) + 1j * rng.uniform(-1, 1, length)
+    want = algebra.from_diag_coords(ctx, evaluate(c, ctx.eigenvalues))
+    assert algebra.from_repr_poly(ctx, c).tobytes() == want.tobytes()
 
 
 def test_from_diag_coords_basics():

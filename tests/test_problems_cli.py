@@ -324,6 +324,7 @@ SHIFT_70_PROBLEM = problem_doc(
     coefficients=[{"diag_coords": [[0, 0]] * 70}, {"diag_coords": [[-1, 0]] * 70}],
 )
 TOL_RULE = "must be a finite non-negative number"
+POSITIVE_RULE = "option 'cluster_tol' must be a finite positive number"
 CAP_RULE = "option 'cap' must be a positive integer"
 CAP_MAX = "option 'cap' must be at most 9223372036854775807"
 
@@ -335,15 +336,20 @@ def bad_option(key, value, message, doc=None, id=None):
 @pytest.mark.parametrize(
     "key, value, message, doc",
     [
-        bad_option("cluster_tol", "abc", f"option 'cluster_tol' {TOL_RULE}"),
+        bad_option("cluster_tol", "abc", POSITIVE_RULE),
         bad_option("residual_tol", "abc", f"option 'residual_tol' {TOL_RULE}"),
         bad_option("distinct_tol", [1], f"option 'distinct_tol' {TOL_RULE}", id="distinct_tol-value2"),
         bad_option("cap", 1.5, CAP_RULE),
         bad_option("residual_tol", 10**400, f"option 'residual_tol' {TOL_RULE}",
                    id="residual_tol-int-past-float-range"),
         # the same rule on the command line: these once solved with exit 0
-        bad_option("--cluster-tol", "-1", f"option 'cluster_tol' {TOL_RULE}"),
-        bad_option("--cluster-tol", "nan", f"option 'cluster_tol' {TOL_RULE}"),
+        bad_option("--cluster-tol", "-1", POSITIVE_RULE),
+        bad_option("--cluster-tol", "nan", POSITIVE_RULE),
+        # at 0 the knife-edge check cannot fire: paper-3.2 once counted 8 solutions, not 4
+        bad_option("cluster_tol", 0, POSITIVE_RULE),
+        bad_option("--cluster-tol", "0", POSITIVE_RULE),
+        # a misspelt key was once ignored, and the file solved at the default tolerance
+        bad_option("clustertol", 1e-4, "unknown option 'clustertol'"),
         bad_option("--residual-tol", "nan", f"option 'residual_tol' {TOL_RULE}"),
         bad_option("--residual-tol", "inf", f"option 'residual_tol' {TOL_RULE}"),
         bad_option("--cap", "0", CAP_RULE),

@@ -452,6 +452,8 @@ def test_nan_residual_tol_flags_every_solution():
         ("count_solutions", {"cluster_tol": float("nan")}),
         ("solve", {"cluster_tol": -1}),
         ("solve", {"cluster_tol": float("nan")}),
+        ("count_solutions", {"cluster_tol": 0}),
+        ("solve", {"cluster_tol": 0}),
         # these once raised EnumerationCapExceeded, or truncated "at 2.5" and "at True"
         ("solve", {"enumeration_cap": 0, "truncate": True}),
         ("solve", {"enumeration_cap": 2.5, "truncate": True}),
@@ -462,6 +464,7 @@ def test_nan_residual_tol_flags_every_solution():
     ids=[
         "count_solutions-cluster_tol--1", "count_solutions-cluster_tol-nan",
         "solve-cluster_tol--1", "solve-cluster_tol-nan",
+        "count_solutions-cluster_tol-0", "solve-cluster_tol-0",
         "solve-enumeration_cap-0", "solve-enumeration_cap-2.5", "solve-enumeration_cap-True",
         "make_context-distinct_tol--1",
     ],

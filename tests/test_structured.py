@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -90,6 +91,21 @@ def test_weighted_circulant_context_unit_weights_is_f_inv():
     d = 5
     ctx = weighted_circulant_context(spec(*[1.0] * d))
     assert np.max(np.abs(ctx.T - dft_matrix(d).conj().T)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [64, 257, 320])
+def test_weighted_circulant_eigenvalues_match_40_digit_reference(d):
+    # eigenvalue k is lam times the root of unity of reduced angle 2 pi ((-k) mod d) / d
+    rng = np.random.default_rng(d)
+    s = spec(*(rng.uniform(0.5, 2, d) * np.exp(1j * rng.uniform(0, 2 * np.pi, d))))
+    eigs = weighted_circulant_context(s).eigenvalues
+    with mpmath.workdps(40):
+        lam = mpmath.mpc(s.lam)
+        err = max(
+            abs(mpmath.mpc(e) - lam * mpmath.expjpi(mpmath.mpf(2 * (-k % d)) / d))
+            for k, e in enumerate(eigs)
+        )
+    assert float(err) <= 8 * np.finfo(float).eps * abs(s.lam)
 
 
 def test_scaling_diag_paper_values():
