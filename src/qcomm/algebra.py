@@ -144,15 +144,15 @@ def commutator(ctx, a):
     return linalg.frobenius(a @ q - q @ a), scale
 
 
-def is_member(ctx, a, tol=DEFAULT_TOL):
-    """True iff ||AQ - QA||_F <= tol * (1+||A||_F) * (1+||Q||_F)."""
+def is_member(ctx, a):
+    """True iff ||AQ - QA||_F <= DEFAULT_TOL * (1+||A||_F) * (1+||Q||_F)."""
     resid, scale = commutator(ctx, a)
-    return resid <= tol * scale
+    return resid <= DEFAULT_TOL * scale
 
 
 def _member_diag(ctx, a, tol):
-    """Diagonal of T^-1 A T after is_member(ctx, a, tol) accepts A; else
-    NotMember carries commutator's residual and the bound tol * scale."""
+    """Diagonal of T^-1 A T once commutator's residual is at most tol * scale; else
+    NotMember carries that residual and the bound tol * scale."""
     resid, scale = commutator(ctx, a)
     if not resid <= tol * scale:
         raise NotMember("matrix does not commute with Q", residual=resid, bound=tol * scale)
@@ -164,7 +164,7 @@ def diag_coords(ctx, a):
     return _member_diag(ctx, a, PROJECTION_TOL)
 
 
-def repr_poly(ctx, a, tol=DEFAULT_TOL):
+def repr_poly(ctx, a):
     """Representation polynomial of a member: the poly.trim'd ascending
     coefficients of the unique degree <= d-1 polynomial f with A = f(Q).
 
@@ -173,10 +173,10 @@ def repr_poly(ctx, a, tol=DEFAULT_TOL):
     pivot-size gate (the distinct-eigenvalue check already rules out a
     singular system, and Vandermonde rows differ in scale by up to
     max|eigenvalue|^(d-1)). Raises NotMember exactly when
-    is_member(ctx, a, tol) is false; warns when the node set is badly
+    is_member(ctx, a) is false; warns when the node set is badly
     conditioned.
     """
-    diag = _member_diag(ctx, a, tol)
+    diag = _member_diag(ctx, a, DEFAULT_TOL)
     V = np.vander(ctx.eigenvalues, increasing=True)
     vcond = np.linalg.cond(V)
     if vcond > 1e10:

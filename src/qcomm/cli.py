@@ -18,6 +18,9 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
+# solve's flags: the option each sets, its type and solve's keyword for it
+_SOLVE_FLAGS = {"cluster_tol": (float, "cluster_tol"), "residual_tol": (float, "residual_tol"),
+                "cap": (int, "enumeration_cap")}
 _ENTRY = "%+.12g%+.12gj"  # one complex number of a text report
 _HOLE, _LIST = "\0hole", "\0list"  # _write_json's skeleton leaves; no report string has a NUL
 
@@ -101,10 +104,9 @@ def _report_solution_set(ctx, sol_set, as_json, out):
 def _solve_opts(args, opts):
     """solve's keywords: a set flag, checked as file options are, beats the file's option;
     solve's defaults fill the rest."""
-    names = {"cluster_tol": "cluster_tol", "residual_tol": "residual_tol", "cap": "enumeration_cap"}
-    flags = {k: v for k in names if (v := getattr(args, k, None)) is not None}
+    flags = {k: v for k in _SOLVE_FLAGS if (v := getattr(args, k, None)) is not None}
     given = {**opts, **{k: algebra.check_option(k, v, "command line") for k, v in flags.items()}}
-    return {name: given[k] for k, name in names.items() if k in given}
+    return {name: given[k] for k, (_, name) in _SOLVE_FLAGS.items() if k in given}
 
 
 def cmd_solve(args, out):
@@ -195,7 +197,7 @@ def build_parser():
     sp = sub.add_parser("solve", help="solve a problem file")
     sp.add_argument("file")
     sp.add_argument("--json", action="store_true")
-    for key, convert in (("cluster_tol", float), ("residual_tol", float), ("cap", int)):
+    for key, (convert, _) in _SOLVE_FLAGS.items():
         sp.add_argument("--" + key.replace("_", "-"), type=convert)
     sp.set_defaults(func=cmd_solve)
 

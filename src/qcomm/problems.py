@@ -20,6 +20,7 @@ SCHEMA = "qcomm/1"
 Q_VARIANTS = ("matrix", "weighted_circulant", "circulant", "companion_eigenvalues")
 COEFF_VARIANTS = ("matrix", "repr_poly", "diag_coords")
 OPTIONS = ("cluster_tol", "residual_tol", "distinct_tol", "cap")
+DOCUMENT_KEYS = ("schema", "q", "degree", "coefficients", "options")
 
 
 def parse_complex(v, where="value"):
@@ -51,33 +52,40 @@ def emit(a):
     return np.stack((a.real, a.imag), -1).tolist()
 
 
-def _check_schema(doc, path):
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    if doc.get("schema") != SCHEMA:
+def _keys(obj, where, known, required=(), noun="key"):
+    """obj, checked as a JSON object holding every key of required and no key outside known:
+    a ParseError names the first missing key, else the first unknown key in sorted order."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected a JSON object of {noun}s")
+    missing = [f"missing {k!r}" for k in required if k not in obj]
+    unknown = [f"unknown {noun} {k!r}" for k in sorted(set(obj) - set(known), key=str)]
+    if missing or unknown:
+        raise ParseError(f"{where}: {(missing + unknown)[0]}")
+    return obj
+
+
+def _check_schema(doc, path, known, required):
+    """doc, its keys checked by _keys, then its schema."""
+    if _keys(doc, path, known, required).get("schema") != SCHEMA:
         raise ParseError(f"{path}: missing or unsupported schema (want {SCHEMA!r})")
+    return doc
 
 
 def load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     except ValueError as exc:  # bad JSON or UTF-8, or an int literal past the digit limit
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    _check_schema(doc, path)
-    return doc
 
 
 def _variant(spec, variants, where):
-    """(tag, value) of a tagged union: an object holding exactly one of variants."""
-    if not isinstance(spec, dict):
-        raise ParseError(f"{where}: expected an object")
-    keys = [k for k in variants if k in spec]
-    if len(keys) != 1:
+    """(tag, value) of a tagged union: an object holding exactly one of variants, no other key."""
+    if len(_keys(spec, where, variants)) != 1:
         raise ParseError(f"{where}: exactly one of {variants} required")
-    return keys[0], spec[keys[0]]
+    return next(iter(spec.items()))
 
 
 def context_from_q_spec(q_spec, distinct_tol=algebra.DEFAULT_TOL, where="q"):
@@ -110,20 +118,13 @@ def load_problem(path):
 
 
 def parse_q_document(doc, path="<q>"):
-    """(QContext, options dict) of a Q document or problem document: its schema, 'q' and
-    options checked (OPTIONS by algebra.check_option, then no other key), Q at its distinct_tol."""
-    _check_schema(doc, path)
-    if "q" not in doc:
-        raise ParseError(f"{path}: missing 'q'")
-    opts = doc.get("options", {})
-    if not isinstance(opts, dict):
-        raise ParseError(f"{path}: 'options' must be an object")
+    """(QContext, options dict) of a Q or problem document: its keys (DOCUMENT_KEYS, OPTIONS),
+    schema and options (by algebra.check_option) checked, Q at its distinct_tol."""
+    _check_schema(doc, path, DOCUMENT_KEYS, ("q",))
+    opts = _keys(doc.get("options", {}), path, OPTIONS, noun="option")
     for key in OPTIONS:
         if key in opts:
             algebra.check_option(key, opts[key], path)
-    unknown = sorted(set(opts) - set(OPTIONS))
-    if unknown:
-        raise ParseError(f"{path}: unknown option {unknown[0]!r}")
     distinct_tol = opts.get("distinct_tol", algebra.DEFAULT_TOL)
     return context_from_q_spec(doc["q"], distinct_tol, f"{path}:q"), opts
 
@@ -133,21 +134,17 @@ def parse_problem(doc, path="<problem>"):
     its Q and options read by parse_q_document, its degree by algebra.check_option."""
     ctx, opts = parse_q_document(doc, path)
     n = algebra.check_option("degree", doc.get("degree"), path)
-    coeff_entries = doc.get("coefficients")
-    if not isinstance(coeff_entries, list) or len(coeff_entries) != n:
+    entries = doc.get("coefficients")
+    if not isinstance(entries, list) or len(entries) != n:
         raise ParseError(f"{path}: 'coefficients' must list exactly {n} entries")
-    coeffs = [
-        coefficient_from_entry(e, f"{path}:coefficients[{i}]", ctx)
-        for i, e in enumerate(coeff_entries)
-    ]
+    where = f"{path}:coefficients"
+    coeffs = [coefficient_from_entry(e, f"{where}[{i}]", ctx) for i, e in enumerate(entries)]
     return ctx, coeffs, opts
 
 
 def load_matrix_file(path):
     """Parse a standalone matrix document ({"schema": ..., "matrix": ...})."""
-    doc = load_json(path)
-    if "matrix" not in doc:
-        raise ParseError(f"{path}: missing 'matrix'")
+    doc = _check_schema(load_json(path), path, ("schema", "matrix"), ("matrix",))
     return parse_matrix(doc["matrix"], f"{path}:matrix")
 
 

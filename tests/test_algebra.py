@@ -272,4 +272,4 @@ def test_membership_closure(rng):
         d = rng.integers(2, 7)
         ctx = random_context(rng, d)
         p = rng.uniform(-2, 2, d) + 1j * rng.uniform(-2, 2, d)
-        assert algebra.is_member(ctx, algebra.from_repr_poly(ctx, p), 1e-8)
+        assert algebra.is_member(ctx, algebra.from_repr_poly(ctx, p))

@@ -372,6 +372,54 @@ def test_cli_bad_option_exits_2(tmp_path, capsys, key, value, message, doc):
     assert capsys.readouterr().err == f"error: {'command line' if flags else path}: {message}\n"
 
 
+IDENTITY_3 = {"schema": "qcomm/1", "matrix": problems.emit(np.eye(3) + 0j)}
+PAPER_Q = problem_doc()["q"]
+PAPER_COEFFICIENTS = problem_doc()["coefficients"]
+
+
+@pytest.mark.parametrize(
+    "command, doc, where, key",
+    [
+        # each of these keys was once ignored: the file was read as if it were absent
+        pytest.param("solve", problem_doc(option={"cluster_tol": 0.5}), "", "option",
+                     id="solve-problem-option"),
+        pytest.param("diag", {"schema": "qcomm/1", "q": PAPER_Q, "degre": 2}, "", "degre",
+                     id="diag-q-document-degre"),
+        pytest.param("solve", problem_doc(q={**PAPER_Q, "distinct_tol": 1e-12}), ":q",
+                     "distinct_tol", id="solve-q-distinct_tol"),
+        pytest.param("solve", problem_doc(coefficients=[PAPER_COEFFICIENTS[0],
+                                                        {**PAPER_COEFFICIENTS[1], "note": "x"}]),
+                     ":coefficients[1]", "note", id="solve-coefficient-note"),
+        pytest.param("check", {**IDENTITY_3, "matrx": IDENTITY_3["matrix"]}, "", "matrx",
+                     id="check-matrix-document-matrx"),
+        pytest.param("repr", {**IDENTITY_3, "matrx": IDENTITY_3["matrix"]}, "", "matrx",
+                     id="repr-matrix-document-matrx"),
+        # a misspelt tag once read "exactly one of (...) required", naming neither key
+        pytest.param("solve", problem_doc(q={"circulnt": [[0, 0], [1, 0], [0, 0]]}), ":q",
+                     "circulnt", id="solve-q-tag-circulnt"),
+    ],
+)
+def test_cli_unknown_key_exits_2(tmp_path, capsys, command, doc, where, key):
+    bad = write_json(tmp_path / "bad.json", doc)
+    # check and repr read the bad matrix file after a valid problem (hence Q) file
+    first = [write_json(tmp_path / "p.json", problem_doc())] if command in ("check", "repr") else []
+    assert run_cli([command, *first, bad]) == (2, "")
+    assert capsys.readouterr().err == f"error: {bad}{where}: unknown key {key!r}\n"
+
+
+def test_parse_problem_key_rule():
+    doc = {**problems.BUILTIN_PROBLEMS["paper-3.2"], "option": {"cluster_tol": 0.5}}
+    with pytest.raises(ParseError, match=r"^paper-3\.2: unknown key 'option'$"):
+        problems.parse_problem(doc, "paper-3.2")
+    # a missing key comes first, then the first unknown key in sorted order
+    del doc["q"]
+    with pytest.raises(ParseError, match=r"^paper-3\.2: missing 'q'$"):
+        problems.parse_problem(doc, "paper-3.2")
+    doc = {**problems.BUILTIN_PROBLEMS["paper-3.2"], "zz": 1, "option": {}}
+    with pytest.raises(ParseError, match=r"^paper-3\.2: unknown key 'option'$"):
+        problems.parse_problem(doc, "paper-3.2")
+
+
 @pytest.mark.parametrize(
     "flags, options",
     [(["--cap", "3"], {}), ([], {"cap": 3}), (["--cap", "3"], {"cap": 4})],
