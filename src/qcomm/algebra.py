@@ -67,7 +67,9 @@ class QContext:
     warnings; min_gap is the minimum pairwise eigenvalue distance (inf for
     d = 1). provenance records where T came from: "generic" for the
     eigensolver, or a structured tag ("weighted-circulant", "circulant",
-    "companion") when T is a closed form.
+    "companion") when T is a closed form. A closed form may also set
+    shift = (w, y), Q = diag(w) P + e_d y^T with P[i, (i+1) % d] = 1 the cyclic
+    shift (y None for 0), and dft_scale = s, T^-1 = F diag(1/s); None means dense.
     """
 
     Q: np.ndarray
@@ -78,6 +80,8 @@ class QContext:
     min_gap: float
     provenance: str = "generic"
     warnings: list = field(default_factory=list)
+    shift: tuple = None
+    dft_scale: np.ndarray = None
 
     @property
     def d(self):
@@ -88,8 +92,26 @@ class QContext:
         """||T^-1 Q T - diag(eigenvalues)||_F, computed on first use only."""
         return linalg.frobenius(self.T_inv @ self.Q @ self.T - np.diag(self.eigenvalues))
 
+    def products(self, a):
+        """(A Q, Q A): O(d^2) in the shift form, two dense products otherwise."""
+        if self.shift is None:
+            return a @ self.Q, self.Q @ a
+        w, y = self.shift
+        aq, qa = np.roll(a * w, 1, axis=1), np.roll(a, -1, axis=0)
+        qa *= w[:, None]
+        if y is not None:
+            aq += np.outer(a[:, -1], y)
+            qa[-1] += y @ a
+        return aq, qa
 
-def assemble_context(q, eigs, T, T_inv, distinct_tol, provenance="generic"):
+    def apply_T_inv(self, b):
+        """T^-1 B: F (B / s) as one unitary inverse FFT down the columns, else dense."""
+        if self.dft_scale is None:
+            return self.T_inv @ b
+        return np.fft.ifft(b / self.dft_scale[:, None], axis=0, norm="ortho")
+
+
+def assemble_context(q, eigs, T, T_inv, distinct_tol, provenance, shift=None, dft_scale=None):
     """The one QContext constructor, for the eigensolver and the closed forms.
 
     Raises NumericalFailure when Q, the eigenvalues, T or T_inv have a
@@ -109,7 +131,7 @@ def assemble_context(q, eigs, T, T_inv, distinct_tol, provenance="generic"):
     if T_inv is None:
         T_inv = linalg.inverse(T)
     cond_T = float(np.linalg.norm(T, 1) * np.linalg.norm(T_inv, 1))
-    ctx = QContext(q, eigs, T, T_inv, cond_T, gap, provenance)
+    ctx = QContext(q, eigs, T, T_inv, cond_T, gap, provenance, shift=shift, dft_scale=dft_scale)
     if cond_T > 1e8:
         ctx.warnings.append(f"ill-conditioned eigenbasis: cond_T ~ {cond_T:.2e}")
     return ctx
@@ -127,7 +149,7 @@ def make_context(q, distinct_tol=DEFAULT_TOL):
         gap = linalg.min_gap(eigs)
         msg = f"eigenbasis of Q is singular ({exc}; minimum eigenvalue gap {gap:.3e})"
         raise SingularMatrix(f"{msg}: Q is defective or nearly so") from exc
-    return assemble_context(q, eigs, T, T_inv, distinct_tol)
+    return assemble_context(q, eigs, T, T_inv, distinct_tol, "generic")
 
 
 def commutator(ctx, a):
@@ -141,7 +163,8 @@ def commutator(ctx, a):
     if a.shape != q.shape:
         raise DimensionMismatch(f"expected {q.shape}, got {a.shape}")
     scale = (1.0 + linalg.frobenius(a)) * (1.0 + linalg.frobenius(q))
-    return linalg.frobenius(a @ q - q @ a), scale
+    aq, qa = ctx.products(a)
+    return linalg.frobenius(np.subtract(aq, qa, out=aq)), scale
 
 
 def is_member(ctx, a):
@@ -156,7 +179,7 @@ def _member_diag(ctx, a, tol):
     resid, scale = commutator(ctx, a)
     if not resid <= tol * scale:
         raise NotMember("matrix does not commute with Q", residual=resid, bound=tol * scale)
-    return np.einsum("ij,ji->i", ctx.T_inv @ a, ctx.T)
+    return np.einsum("ij,ji->i", ctx.apply_T_inv(a), ctx.T)
 
 
 def diag_coords(ctx, a):

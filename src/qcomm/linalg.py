@@ -63,8 +63,8 @@ def eig(q):
     so T is reproducible across runs.
     """
     q = as_cmatrix(q)
-    if q.shape[0] != q.shape[1]:
-        raise DimensionMismatch("eig needs a square matrix")
+    if q.shape[0] != q.shape[1] or not q.size:
+        raise DimensionMismatch("eig needs a non-empty square matrix")
     try:
         vals, vecs = np.linalg.eig(q)
     except np.linalg.LinAlgError as exc:

@@ -8,7 +8,7 @@ same DFT matrix diagonalizes every circulant; a circulant's eigenvalues,
 its diagonal coordinates in that basis, are np.fft.fft of its first row.
 A companion matrix of a polynomial with distinct roots is diagonalized by
 the Vandermonde matrix in those roots. All three paths produce a QContext
-without running an eigensolver.
+without running an eigensolver, and record Q's shift or T^-1's DFT form.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import DEFAULT_TOL, assemble_context
-from .errors import NumericalFailure, ZeroWeight
+from .errors import DimensionMismatch, NumericalFailure, ZeroWeight
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,8 @@ class WeightedCirculantSpec:
     @classmethod
     def from_weights(cls, weights):
         weights = tuple(complex(w) for w in weights)
+        if not weights:
+            raise DimensionMismatch("a weighted circulant needs at least one weight")
         if any(w == 0 for w in weights):
             raise ZeroWeight("weighted circulant weights must be nonzero")
         k = complex(np.prod(weights))
@@ -59,7 +61,7 @@ def dft_matrix(d):
     with r c.
     """
     if d < 1:
-        raise ValueError("d must be positive")
+        raise DimensionMismatch("d must be positive")
     idx = np.arange(d)
     return np.exp(2j * np.pi * idx / d)[np.outer(idx, idx) % d] / np.sqrt(d)
 
@@ -94,7 +96,8 @@ def weighted_circulant_context(spec, distinct_tol=DEFAULT_TOL):
     eigs = lam * np.exp(2j * np.pi * (-np.arange(d) % d) / d)
     cond = float(np.max(np.abs(diag)) / np.min(np.abs(diag)))
     ctx = assemble_context(
-        weighted_circulant_matrix(spec), eigs, T, T_inv, distinct_tol, "weighted-circulant"
+        weighted_circulant_matrix(spec), eigs, T, T_inv, distinct_tol, "weighted-circulant",
+        shift=(w, None), dft_scale=diag,
     )
     return _verified(ctx, 1e-10 * (1.0 + abs(lam)) * max(1.0, cond))
 
@@ -115,7 +118,7 @@ def circulant_context(a, distinct_tol=DEFAULT_TOL):
     T = F.conj().T
     eigs = np.fft.fft(a)
     scale = 1.0 + float(np.max(np.abs(eigs)))
-    ctx = assemble_context(q, eigs, T, F, distinct_tol, "circulant")
+    ctx = assemble_context(q, eigs, T, F, distinct_tol, "circulant", dft_scale=np.ones(d))
     return _verified(ctx, 1e-10 * scale * d)
 
 
@@ -124,6 +127,8 @@ def companion_matrix(coeffs):
     coefficients (length d+1, leading coefficient 1)."""
     c = np.asarray(coeffs, dtype=complex)
     d = len(c) - 1
+    if d < 1:
+        raise DimensionMismatch("a companion matrix needs degree at least 1")
     pi = np.zeros((d, d), dtype=complex)
     if d > 1:
         pi[:-1, 1:] = np.eye(d - 1)
@@ -144,6 +149,7 @@ def companion_context(lambdas, distinct_tol=DEFAULT_TOL):
         f = np.concatenate(([0.0j], f)) - r * np.concatenate((f, [0.0j]))
     pi = companion_matrix(f)
     T = np.vander(lambdas, increasing=True).T.astype(complex)
-    ctx = assemble_context(pi, lambdas, T, None, distinct_tol, "companion")
+    y = -f[:d] - np.eye(1, d)[0]  # Q = P + e_d y^T: -e_1 cancels P's corner 1
+    ctx = assemble_context(pi, lambdas, T, None, distinct_tol, "companion", shift=(np.ones(d), y))
     lam_max = float(np.max(np.abs(lambdas)))
     return _verified(ctx, 1e-9 * (1.0 + max(1.0, lam_max) ** d) * max(1.0, np.linalg.cond(T)))

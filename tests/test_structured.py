@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from qcomm import algebra, linalg, structured
-from qcomm.errors import NotDistinctEigenvalues, ZeroWeight
+from qcomm.errors import DimensionMismatch, NotDistinctEigenvalues, NotMember, ZeroWeight
 from qcomm.poly import evaluate
 from qcomm.structured import (
     WeightedCirculantSpec,
@@ -219,3 +219,119 @@ def test_companion_cross_check_eig(rng):
         ctx = companion_context(lam)
         eigs, _ = linalg.eig(ctx.Q)
         assert match_values(lam, eigs) < 1e-8
+
+
+KINDS = ["weighted-circulant", "circulant", "companion"]
+
+
+def _structured_context(kind, rng, d):
+    """A seeded structured context of size d; companion nodes lie near the
+    unit circle in random order, so the Vandermonde basis stays usable at d = 48."""
+    if kind == "weighted-circulant":
+        w = rng.uniform(0.5, 2, d) * np.exp(2j * np.pi * rng.uniform(size=d))
+        return weighted_circulant_context(WeightedCirculantSpec.from_weights(w))
+    if kind == "circulant":
+        return circulant_context(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    angles = rng.permutation(d) + rng.uniform(-0.25, 0.25, d)
+    return companion_context(rng.uniform(0.95, 1.05, d) * np.exp(2j * np.pi * angles / d))
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / max(np.linalg.norm(want), np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_structured_forms_match_dense_products(kind):
+    # the shift form's A Q and Q A, and the DFT form's T^-1 B, are the dense products
+    rng = np.random.default_rng(30)
+    for d in range(1, 49):
+        ctx = _structured_context(kind, rng, d)
+        assert (ctx.shift is not None) == (kind != "circulant")
+        assert (ctx.dft_scale is not None) == (kind != "companion")
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        aq, qa = ctx.products(a)
+        assert _rel(aq, a @ ctx.Q) <= 1e-14
+        assert _rel(qa, ctx.Q @ a) <= 1e-14
+        assert _rel(ctx.apply_T_inv(a), ctx.T_inv @ a) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_structured_forms_decide_as_the_dense_rule(kind):
+    # near-members: the membership decisions and the coordinates are those of
+    # the rule computed with dense products
+    rng = np.random.default_rng(31)
+    decisions = set()
+    for d in (1, 2, 3, 7, 16, 48):
+        ctx = _structured_context(kind, rng, d)
+        q = ctx.Q
+        for noise in (0.0, 1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3):
+            u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            a = algebra.from_diag_coords(ctx, u)
+            e = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            a = a + noise * np.linalg.norm(a) / np.linalg.norm(e) * e
+            resid = np.linalg.norm(a @ q - q @ a)
+            scale = (1 + np.linalg.norm(a)) * (1 + np.linalg.norm(q))
+            assert algebra.is_member(ctx, a) == (resid <= algebra.DEFAULT_TOL * scale)
+            member = resid <= algebra.PROJECTION_TOL * scale
+            decisions.add(member)
+            if not member:
+                with pytest.raises(NotMember):
+                    algebra.diag_coords(ctx, a)
+                continue
+            dense = np.einsum("ij,ji->i", ctx.T_inv @ a, ctx.T)
+            got = algebra.diag_coords(ctx, a)
+            assert np.max(np.abs(got - dense)) <= 1e-13 * ctx.cond_T * np.linalg.norm(a)
+    assert decisions == {True, False}
+
+
+@pytest.mark.parametrize("kind", KINDS + ["generic"])
+def test_wrongly_shaped_coefficient_is_a_dimension_mismatch(kind):
+    rng = np.random.default_rng(32)
+    if kind == "generic":
+        ctx = algebra.make_context(np.diag([1.0, 2.0, 3.0, 4.0]))
+    else:
+        ctx = _structured_context(kind, rng, 4)
+    for a in (np.eye(3), np.eye(5), np.ones((4, 5))):
+        for f in (algebra.commutator, algebra.is_member, algebra.diag_coords):
+            with pytest.raises(DimensionMismatch):
+                f(ctx, a)
+
+
+@pytest.mark.parametrize("kind", ["weighted-circulant", "circulant"])
+def test_dft_form_projects_without_the_stored_inverse(kind):
+    # with T_inv spoilt, finite coordinates show that projection takes the FFT path
+    rng = np.random.default_rng(33)
+    ctx = _structured_context(kind, rng, 40)
+    u = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    a = algebra.from_diag_coords(ctx, u)
+    ctx.T_inv = np.full_like(ctx.T_inv, np.nan)
+    got = algebra.diag_coords(ctx, a)
+    assert np.isfinite(got).all()
+    assert np.max(np.abs(got - u)) <= 1e-12 * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("kind", ["weighted-circulant", "companion"])
+def test_shift_form_multiplies_without_the_stored_q(kind):
+    # with Q spoilt, finite products show that the shift form computes them
+    rng = np.random.default_rng(34)
+    ctx = _structured_context(kind, rng, 40)
+    a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    want = (a @ ctx.Q, ctx.Q @ a)
+    ctx.Q = np.full_like(ctx.Q, np.nan)
+    for got, dense in zip(ctx.products(a), want):
+        assert _rel(got, dense) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: weighted_circulant_context(WeightedCirculantSpec.from_weights([])),
+        lambda: circulant_context([]),
+        lambda: companion_context([]),
+        lambda: algebra.make_context(np.zeros((0, 0))),
+    ],
+    ids=["weighted-circulant", "circulant", "companion", "generic"],
+)
+def test_empty_q_is_a_dimension_mismatch(build):
+    with pytest.raises(DimensionMismatch):
+        build()
